@@ -31,9 +31,9 @@ let diode_chain stages =
   Mna.build nl
 
 let hb_with ~solver ~precondition c =
-  Rf.Hb.solve
+  Util.converged (Rf.Hb.solve_outcome
     ~options:{ Rf.Hb.default_options with solver; precondition; n_samples = 32 }
-    c ~freq:10e6
+    c ~freq:10e6)
 
 let report () =
   Util.section "EXP-ABL | ablation studies";

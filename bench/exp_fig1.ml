@@ -10,9 +10,9 @@ open Rfkit_circuits
 let solve () =
   let p = Modulator.paper_params in
   let c = Modulator.build p in
-  Rf.Hb2.solve
+  Util.converged (Rf.Hb2.solve_outcome
     ~options:{ Rf.Hb2.default_options with n1 = 8; n2 = 8 }
-    c ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo
+    c ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo)
 
 let report () =
   Util.section "EXP-F1 | Fig 1: modulator in-band spectrum (two-tone HB)";

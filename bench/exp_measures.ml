@@ -34,8 +34,8 @@ let report () =
       Rf.Measures.compression_point_1db ~build:(tanh_stage vsat) ~node:"out"
         ~freq:10e6 ()
     with
-    | Some a -> a
-    | None -> nan
+    | Ok (Some a) -> a
+    | Ok None | Error _ -> nan
   in
   Util.verdict ~label:"1 dB compression point (tanh stage)"
     ~paper:"predictable (Sec 1)"
@@ -44,8 +44,12 @@ let report () =
   (* IIP3 of a cubic stage, closed form (4/3)|g1/g3| *)
   let g1 = 1e-3 and g3 = 3e-3 in
   let iip3 =
-    Rf.Measures.iip3 ~a_probe:0.05 ~build:(cubic_stage g1 g3) ~node:"out" ~f1:10e6
-      ~f2:11e6 ()
+    match
+      Rf.Measures.iip3 ~a_probe:0.05 ~build:(cubic_stage g1 g3) ~node:"out" ~f1:10e6
+        ~f2:11e6 ()
+    with
+    | Ok a -> a
+    | Error _ -> nan
   in
   let analytic = sqrt (4.0 /. 3.0 *. (g1 /. g3)) in
   Util.verdict ~label:"input intercept point IIP3 (cubic stage)"

@@ -26,9 +26,9 @@ let report () =
       let c = Modulator.build { p with Modulator.f_bb = f_bb } in
       let _, t_hb =
         Util.timed (fun () ->
-            Rf.Hb2.solve
+            Util.converged (Rf.Hb2.solve_outcome
               ~options:{ Rf.Hb2.default_options with n1 = 8; n2 = 8 }
-              c ~f1:f_bb ~f2:p.Modulator.f_lo)
+              c ~f1:f_bb ~f2:p.Modulator.f_lo))
       in
       if f_bb = p.Modulator.f_bb then t_hb_true := t_hb;
       let cycles = p.Modulator.f_lo /. f_bb in
@@ -81,9 +81,9 @@ let report () =
     ~measured:(Printf.sprintf "%.1f dBc (true -78)" apparent_dbc)
     ~ok:(apparent_dbc > -60.0);
   let res =
-    Rf.Hb2.solve
+    Util.converged (Rf.Hb2.solve_outcome
       ~options:{ Rf.Hb2.default_options with n1 = 8; n2 = 8 }
-      c ~f1:f_bb ~f2:p.Modulator.f_lo
+      c ~f1:f_bb ~f2:p.Modulator.f_lo)
   in
   let hb_carrier = Rf.Hb2.mix_amplitude res Modulator.output_node ~k1:(-1) ~k2:1 in
   let hb_leak = Rf.Hb2.mix_amplitude res Modulator.output_node ~k1:0 ~k2:1 in
@@ -99,7 +99,7 @@ let bench_tests =
       (Bechamel.Staged.stage (fun () ->
            let p = Modulator.paper_params in
            let c = Modulator.build p in
-           Rf.Hb2.solve
+           Util.converged (Rf.Hb2.solve_outcome
              ~options:{ Rf.Hb2.default_options with n1 = 8; n2 = 8 }
-             c ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo));
+             c ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo)));
   ]

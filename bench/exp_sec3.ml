@@ -105,7 +105,7 @@ let report () =
   Netlist.resistor nl "RM" "mix" "0" 1e3;
   Netlist.capacitor nl "CM" "mix" "0" 1e-15;
   let cm = Mna.build nl in
-  let hbm = Rf.Hb.solve cm ~freq:f_lo in
+  let hbm = Util.converged (Rf.Hb.solve_outcome cm ~freq:f_lo) in
   let folded = (Cyclo.output_noise hbm ~node:"mix" ~freqs:[| 5e6 |]).(0) in
   let s_r = 4.0 *. Device.boltzmann *. Device.room_temp *. 1e3 in
   Util.verdict ~label:"mixer IF noise with folding" ~paper:"cyclostationary"

@@ -48,10 +48,10 @@ let chain tones =
 let hb_solve tones =
   let c = chain tones in
   let d = Array.length tones in
-  Rf.Hbn.solve
+  Util.converged (Rf.Hbn.solve_outcome
     ~options:
       { Rf.Hbn.dims = Array.make d 8; max_newton = 60; tol = 1e-9; gmres_tol = 1e-11 }
-    c ~tones
+    c ~tones)
 
 let report () =
   Util.section "EXP-TONES | Section 2.1: cost growth with the number of tones";

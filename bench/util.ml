@@ -14,6 +14,13 @@ let timed f =
   let result = f () in
   (result, Unix.gettimeofday () -. t0)
 
+(* the converged value of a supervised solve; a failure aborts the
+   experiment with the rendered attempt ladder *)
+let converged = function
+  | Rfkit.Solve.Supervisor.Converged (r, _) -> r
+  | Rfkit.Solve.Supervisor.Failed f ->
+      failwith (Rfkit.Solve.Supervisor.failure_to_string f)
+
 let verdict ~label ~paper ~measured ~ok =
   Printf.printf "  %-38s paper: %-14s measured: %-14s %s\n" label paper measured
     (if ok then "[ok]" else "[MISMATCH]")

@@ -69,7 +69,11 @@ let () =
     per_cycle *. float_of_int (cycles_needed * newton_iters)
   in
   (* --- cyclostationary noise: the mixer's noise figure ----------------- *)
-  let hb = Rf.Hb.solve c ~freq:p.Mixer.f_lo in
+  let hb =
+    match Rf.Hb.solve_outcome c ~freq:p.Mixer.f_lo with
+    | Solve.Supervisor.Converged (res, _) -> res
+    | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
+  in
   let f_if = p.Mixer.f_lo +. p.Mixer.f_rf in
   let out_psd = (Noise.Cyclo.output_noise hb ~node:Mixer.output_node ~freqs:[| f_if |]).(0) in
   Printf.printf "\ncyclostationary noise at the %.1f MHz output (LPTV analysis):\n"

@@ -20,9 +20,13 @@ let () =
   (* --- two-tone HB ----------------------------------------------------- *)
   let t0 = Unix.gettimeofday () in
   let res =
-    Rf.Hb2.solve
-      ~options:{ Rf.Hb2.default_options with n1 = 8; n2 = 8 }
-      c ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo
+    match
+      Rf.Hb2.solve_outcome
+        ~options:{ Rf.Hb2.default_options with n1 = 8; n2 = 8 }
+        c ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo
+    with
+    | Solve.Supervisor.Converged (res, _) -> res
+    | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
   in
   let dt = Unix.gettimeofday () -. t0 in
   Printf.printf "HB2: %d Newton iterations, %d GMRES iterations, %.3f s\n\n"

@@ -46,7 +46,11 @@ let () =
     h;
 
   (* 5. harmonic balance: the periodic steady state directly ------------ *)
-  let hb = Rf.Hb.solve c ~freq:10e6 in
+  let hb =
+    match Rf.Hb.solve_outcome c ~freq:10e6 with
+    | Solve.Supervisor.Converged (res, _) -> res
+    | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
+  in
   Printf.printf "\nharmonic balance (%d Newton iterations, residual %.1e):\n"
     hb.Rf.Hb.newton_iters hb.Rf.Hb.residual;
   for k = 0 to 4 do

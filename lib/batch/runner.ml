@@ -255,8 +255,7 @@ let execute cfg (job : Expand.job) =
       | Sup.Failed f -> fail_sup f)
   in
   (* the stats line goes to stderr (never part of the deterministic stdout
-     contract); fill_nnz reads the library-wide last-factorization counter,
-     so with --jobs > 1 a concurrent domain may have factored in between *)
+     contract) *)
   if cfg.stats then begin
     let x = La.Vec.create (Mna.size c) in
     let g = Mna.jac_g_sparse c x in

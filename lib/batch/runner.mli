@@ -49,8 +49,8 @@ type config = {
           float digits, so cached payloads must not cross modes) *)
   stats : bool;
       (** emit one [stats:] line per executed job on stderr (cache hits
-          are silent); with [domains > 1] the [fill_nnz] figure may be
-          another domain's last factorization *)
+          are silent); its [fill_nnz] is the job's own last
+          factorization, read from its domain's ledger *)
   deadline : float option;
       (** per-job wall-clock limit: a job past it is quarantined as a
           typed [Deadline_exceeded] failure instead of wedging its

@@ -71,13 +71,13 @@ val factor_cached : ?perm:int array -> symbolic option ref -> Csparse.t -> t
 
 val counts : unit -> int * int
 (** [(refactors, full_factorizations)] since {!reset_counts} — the
-    [clu_refactor]/[clu_full] split reported by [rfsim --stats]. Atomic,
-    shared across domains. *)
+    [clu_refactor]/[clu_full] split reported by [rfsim --stats]. Counted
+    per domain: a domain sees only the factorizations it ran itself. *)
 
 val reset_counts : unit -> unit
 
 val fill_nnz : unit -> int
 (** nnz(L+U) of the most recent complex factorization (full or re-) on
-    any domain — the [clu_fill_nnz=] observable of [rfsim --stats]. [0]
-    until a complex sparse factorization has run (or since
-    {!reset_counts}). *)
+    the calling domain — the [clu_fill_nnz=] observable of
+    [rfsim --stats]. [0] until a complex sparse factorization has run
+    there (or since {!reset_counts}). *)

@@ -18,21 +18,30 @@
 exception Singular = Lu.Singular
 
 (* Observability: how many factorizations reused a cached symbolic
-   analysis vs. ran the full pivoting pass. Atomic so concurrent sweep
-   domains can share the counters. *)
-let n_refactor = Atomic.make 0
-let n_full = Atomic.make 0
-let counts () = (Atomic.get n_refactor, Atomic.get n_full)
+   analysis vs. ran the full pivoting pass, and nnz(L+U) of the most
+   recent one. The ledger is domain-local: a sweep or serve job runs on
+   one domain, so its stats read its own factorizations, never those of
+   a job running concurrently. *)
+type ledger = { mutable refactors : int; mutable full : int; mutable fill : int }
 
-(* nnz(L+U) of the most recent factorization on this domain tree: the
-   fill observable [rfsim --stats] prints so ordering wins are visible *)
-let last_fill = Atomic.make 0
-let fill_nnz () = Atomic.get last_fill
+let ledger = Domain.DLS.new_key (fun () -> { refactors = 0; full = 0; fill = 0 })
+
+let counts () =
+  let l = Domain.DLS.get ledger in
+  (l.refactors, l.full)
+
+let fill_nnz () = (Domain.DLS.get ledger).fill
 
 let reset_counts () =
-  Atomic.set n_refactor 0;
-  Atomic.set n_full 0;
-  Atomic.set last_fill 0
+  let l = Domain.DLS.get ledger in
+  l.refactors <- 0;
+  l.full <- 0;
+  l.fill <- 0
+
+let record ~full fill =
+  let l = Domain.DLS.get ledger in
+  if full then l.full <- l.full + 1 else l.refactors <- l.refactors + 1;
+  l.fill <- fill
 
 type t = {
   n : int;
@@ -160,8 +169,7 @@ let factor_core a =
   for p = 0 to l.len - 1 do
     l_rows.(p) <- pinv.(l_rows.(p))
   done;
-  Atomic.incr n_full;
-  Atomic.set last_fill (l.len + u.len + n);
+  record ~full:true (l.len + u.len + n);
   {
     n;
     l_colptr;
@@ -338,8 +346,7 @@ let analyze_core a =
       s_qperm = None;
     }
   in
-  Atomic.incr n_full;
-  Atomic.set last_fill (l.len + u.len + n);
+  record ~full:true (l.len + u.len + n);
   let f =
     {
       n;
@@ -411,8 +418,7 @@ let refactor_core s a =
     done;
     x.(piv_row) <- 0.0
   done;
-  Atomic.incr n_refactor;
-  Atomic.set last_fill (Array.length l_vals + Array.length u_vals + n);
+  record ~full:false (Array.length l_vals + Array.length u_vals + n);
   {
     n;
     l_colptr = s.sl_colptr;

@@ -64,15 +64,16 @@ val factor_cached : ?perm:int array -> symbolic option ref -> Sparse.t -> t
 
 val counts : unit -> int * int
 (** [(refactors, full_factorizations)] since {!reset_counts} — the
-    refactor-vs-resymbolic split reported by [rfsim --stats]. Atomic,
-    shared across domains. *)
+    refactor-vs-resymbolic split reported by [rfsim --stats]. Counted per
+    domain: a domain sees only the factorizations it ran itself. *)
 
 val reset_counts : unit -> unit
 
 val fill_nnz : unit -> int
-(** nnz(L+U) of the most recent factorization (full or re-) on any
-    domain — the [fill_nnz=] observable of [rfsim --stats]. [0] until a
-    sparse factorization has run (or since {!reset_counts}). *)
+(** nnz(L+U) of the most recent factorization (full or re-) on the
+    calling domain — the [fill_nnz=] observable of [rfsim --stats]. [0]
+    until a sparse factorization has run there (or since
+    {!reset_counts}). *)
 
 type ilu
 

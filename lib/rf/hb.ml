@@ -2,7 +2,7 @@ open Rfkit_la
 open Rfkit_circuit
 open Rfkit_solve
 
-type linear_solver = Direct | Matrix_free_gmres
+type linear_solver = Hbn.linear_solver = Direct | Matrix_free_gmres
 
 type options = {
   n_samples : int;
@@ -39,309 +39,75 @@ exception No_convergence = Error.No_convergence
 
 let engine = "hb"
 
-(* residual R(X) = D q(X) + f(X) - B, flattened row-major (sample, unknown) *)
-let residual_mat c ~period ~times (x : Mat.t) =
-  let ns = x.Mat.rows and n = x.Mat.cols in
-  let qs = Mat.make ns n and r = Mat.make ns n in
-  for s = 0 to ns - 1 do
-    let xs = Mat.row x s in
-    Mat.set_row qs s (Mna.eval_q c xs);
-    let fs = Mna.eval_f c xs in
-    let bs = Mna.eval_b c times.(s) in
-    Mat.set_row r s (Vec.sub fs bs)
-  done;
-  (* add spectral d/dt of the charge columns *)
-  for j = 0 to n - 1 do
-    let dq = Grid.diff_samples ~period (Mat.col qs j) in
-    for s = 0 to ns - 1 do
-      Mat.update r s j (fun v -> v +. dq.(s))
-    done
-  done;
-  r
+(* one-dimensional grids are (sample, unknown) row-major: exactly Mat's layout *)
+let residual_norm c ~freq (x : Mat.t) =
+  Hbn.residual_norm c ~tones:[| freq |] ~dims:[| x.Mat.rows |] x.Mat.a
 
-let residual_norm c ~freq x =
+(* integrate [periods] periods of backward-Euler transient from the DC
+   point and sample the last one; a failed step falls back to the DC
+   point (a typed interrupt or deadline still propagates) *)
+let warm_start c ~freq ~ns ~periods =
   let period = 1.0 /. freq in
-  let times = Grid.times ~period ~n:x.Mat.rows in
-  Mat.max_abs (residual_mat c ~period ~times x)
-
-let flatten (m : Mat.t) = Array.copy m.Mat.a
-let unflatten ~rows ~cols a : Mat.t = { Mat.rows; cols; a = Array.copy a }
-
-(* per-sample sparse linearizations C_s, G_s — the only matrices the HB
-   Jacobian is ever built from, computed once per Newton iteration and
-   shared by the matvec, the preconditioner, and the dense fallback *)
-let sample_jacobians c (x : Mat.t) =
-  let ns = x.Mat.rows in
-  ( Array.init ns (fun s -> Mna.jac_c_sparse c (Mat.row x s)),
-    Array.init ns (fun s -> Mna.jac_g_sparse c (Mat.row x s)) )
-
-(* dense HB Jacobian: J[(s,i),(s',j)] = D[s,s'] C_{s'}[i,j] + delta_{ss'} G_s[i,j];
-   assembled from the sparse stamps, small-circuit fallback only *)
-let dense_jacobian ~period ~n ~cs ~gs =
-  let ns = Array.length cs in
-  let d = Grid.diff_matrix ~period ~n:ns in
-  let dim = ns * n in
-  let j = Mat.make dim dim in
-  for s' = 0 to ns - 1 do
-    Sparse.iter
-      (fun i jj v ->
-        for s = 0 to ns - 1 do
-          let dss = Mat.get d s s' in
-          if dss <> 0.0 then
-            Mat.update j ((s * n) + i) ((s' * n) + jj) (fun w -> w +. (dss *. v))
-        done)
-      cs.(s');
-    Sparse.iter
-      (fun i jj v ->
-        Mat.update j ((s' * n) + i) ((s' * n) + jj) (fun w -> w +. v))
-      gs.(s')
-  done;
-  j
-
-(* matrix-implicit application of the HB Jacobian to a flattened vector:
-   two sparse matvecs per sample plus a spectral derivative per unknown *)
-let apply_jacobian ~period ~n ~cs ~gs (v : Vec.t) =
-  let ns = Array.length cs in
-  let vm = unflatten ~rows:ns ~cols:n v in
-  let cv = Mat.make ns n and gv = Mat.make ns n in
-  for s = 0 to ns - 1 do
-    let vs = Mat.row vm s in
-    Mat.set_row cv s (Sparse.matvec cs.(s) vs);
-    Mat.set_row gv s (Sparse.matvec gs.(s) vs)
-  done;
-  for j = 0 to n - 1 do
-    let dq = Grid.diff_samples ~period (Mat.col cv j) in
-    for s = 0 to ns - 1 do
-      Mat.update gv s j (fun w -> w +. dq.(s))
-    done
-  done;
-  flatten gv
-
-(* sample-averaged sparse stamps: every sample shares the cached MNA
-   pattern, so the merge never grows beyond the union pattern *)
-let average_sparse arr =
-  let ns = Array.length arr in
-  let acc = ref arr.(0) in
-  for s = 1 to ns - 1 do
-    acc := Sparse.add !acc arr.(s)
-  done;
-  Sparse.scale (1.0 /. float_of_int ns) !acc
-
-(* block-diagonal per-harmonic preconditioner built from time-averaged C
-   and G: P_k = j w_k C_avg + G_avg. Each block assembles as Csparse and
-   factors with the complex Gilbert-Peierls LU; all blocks share one
-   structural pattern (the G+C union — Csparse.scale keeps explicit
-   entries even at w_0 = 0), so the caller-held symbolic [cache] is
-   analyzed once and every other harmonic of every Newton iteration is a
-   pivot-frozen refactor. [perm] is the circuit's fill-reducing order. *)
-let make_preconditioner ?perm ~cache ~period ~n ~cs ~gs () =
-  let ns = Array.length cs in
-  let c_avg = Csparse.of_real (average_sparse cs) in
-  let g_avg = Csparse.of_real (average_sparse gs) in
-  let w0 = 2.0 *. Float.pi /. period in
-  let half = ns / 2 in
-  let factors =
-    Array.init (half + 1) (fun k ->
-        let wk = w0 *. float_of_int k in
-        let block = Csparse.add g_avg (Csparse.scale (Cx.im wk) c_avg) in
-        Csparse_lu.factor_cached ?perm cache block)
+  let x_dc = Hbn.dc_point c in
+  let res =
+    try
+      Tran.run ~method_:Tran.Backward_euler ~x0:x_dc c
+        ~t_stop:(float_of_int periods *. period)
+        ~dt:(period /. float_of_int ns)
+    with Tran.Step_failed _ -> { Tran.times = [| 0.0 |]; states = [| x_dc |] }
   in
-  fun (v : Vec.t) ->
-    let vm = unflatten ~rows:ns ~cols:n v in
-    (* per-unknown FFT over samples *)
-    let spectra = Array.init n (fun j -> Fft.forward_real (Mat.col vm j)) in
-    (* per-harmonic complex block solves; conjugate symmetry halves work *)
-    let solved = Array.make ns [||] in
-    for k = 0 to half do
-      let rhs = Cvec.init n (fun j -> spectra.(j).(k)) in
-      solved.(k) <- Csparse_lu.solve factors.(k) rhs
-    done;
-    for k = half + 1 to ns - 1 do
-      (* mirror bin: P_{-k} = conj(P_k), rhs_{-k} = conj(rhs_k) *)
-      solved.(k) <- Cvec.map Cx.conj solved.(ns - k)
-    done;
-    let out = Mat.make ns n in
-    for j = 0 to n - 1 do
-      let col_spec = Cvec.init ns (fun k -> solved.(k).(j)) in
-      let col = Cvec.real (Fft.inverse col_spec) in
-      for s = 0 to ns - 1 do
-        Mat.set out s j col.(s)
-      done
-    done;
-    flatten out
-
-let initial_guess ?(x0 : Mat.t option) c ~options ~period ~times =
-  match x0 with
-  | Some m -> Mat.copy m
-  | None ->
-      let ns = options.n_samples in
-      let n = Mna.size c in
-      if options.warm_periods > 0 then begin
-        (* integrate a few periods of transient, then sample the last one *)
-        let t_stop = float_of_int options.warm_periods *. period in
-        let dt = period /. float_of_int ns in
-        let res =
-          try Tran.run ~method_:Tran.Backward_euler c ~t_stop ~dt
-          with Tran.Step_failed _ | Dc.No_convergence _ ->
-            { Tran.times = [| 0.0 |]; states = [| Vec.create n |] }
-        in
-        let m = Array.length res.Tran.times in
-        let guess = Mat.make ns n in
-        for s = 0 to ns - 1 do
-          let t = res.Tran.times.(m - 1) -. period +. times.(s) in
-          let row =
-            Vec.init n (fun i ->
-                let ys = Array.map (fun st -> st.(i)) res.Tran.states in
-                Interp.linear res.Tran.times ys (Float.max 0.0 t))
-          in
-          Mat.set_row guess s row
-        done;
-        guess
-      end
-      else begin
-        let xdc = try Dc.solve c with Dc.No_convergence _ -> Vec.create n in
-        Mat.init ns n (fun _ i -> xdc.(i))
-      end
-
-let default_damping = 5.0
-
-let solve_core ~options ~damping ~iter_cap ?x0 c ~freq =
-  let period = 1.0 /. freq in
-  let ns = options.n_samples in
   let n = Mna.size c in
-  let times = Grid.times ~period ~n:ns in
-  let x = ref (initial_guess ?x0 c ~options ~period ~times) in
-  (* one symbolic plan for every preconditioner block of every Newton
-     iteration: the harmonic blocks all share the G+C union pattern *)
-  let perm = Mna.ordering_perm c in
-  let precond_cache = ref None in
-  let gmres_total = ref 0 in
-  let iters = ref 0 in
-  let res_norm = ref infinity in
-  let converged = ref false in
-  let stats () =
-    {
-      Supervisor.iterations = !iters;
-      residual = !res_norm;
-      krylov_iterations = !gmres_total;
-    }
+  let cols =
+    Array.init n (fun i -> Tran.sample_last_period res ~per:period ~n:ns (fun st -> st.(i)))
   in
-  let cap = min options.max_newton iter_cap in
-  try
-    while (not !converged) && !iters < cap do
-      incr iters;
-      let r = residual_mat c ~period ~times !x in
-      res_norm := Mat.max_abs r;
-      if !res_norm <= options.tol then converged := true
-      else begin
-        let rhs = flatten r in
-        if Faults.singular_now ~engine then raise Lu.Singular;
-        let cs, gs = sample_jacobians c !x in
-        let dx =
-          match options.solver with
-          | Direct ->
-              let j = dense_jacobian ~period ~n ~cs ~gs in
-              Lu.solve (Lu.factor j) rhs
-          | Matrix_free_gmres ->
-              let precond =
-                if options.precondition then
-                  make_preconditioner ?perm ~cache:precond_cache ~period ~n ~cs
-                    ~gs ()
-                else fun v -> v
-              in
-              let op = apply_jacobian ~period ~n ~cs ~gs in
-              let sol, st =
-                Krylov.gmres ~m:80 ~tol:options.gmres_tol ~max_iter:2000 ~precond
-                  op rhs
-              in
-              gmres_total := !gmres_total + st.Krylov.iterations;
-              if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
-                Error.fail ~engine
-                  ~cause:
-                    (Supervisor.Krylov_stall
-                       {
-                         iterations = st.Krylov.iterations;
-                         residual = st.Krylov.residual;
-                       })
-                  "HB GMRES did not converge";
-              sol
-        in
-        Guard.check ~engine ~iter:!iters dx;
-        (* damped Newton update *)
-        let step = Vec.norm_inf dx in
-        let scale = if step > damping then damping /. step else 1.0 in
-        let dxm = unflatten ~rows:ns ~cols:n dx in
-        let xm = !x in
-        for s = 0 to ns - 1 do
-          for i = 0 to n - 1 do
-            Mat.update xm s i (fun v -> v -. (scale *. Mat.get dxm s i))
-          done
-        done
-      end
-    done;
-    if not !converged then
-      Error
-        ( Supervisor.Newton_stall { iterations = !iters; residual = !res_norm },
-          stats () )
-    else
-      Ok
-        ( {
-            circuit = c;
-            freq;
-            times;
-            samples = !x;
-            newton_iters = !iters;
-            residual = !res_norm;
-            gmres_iters_total = !gmres_total;
-          },
-          stats () )
-  with
-  | Lu.Singular | Clu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
-  | Krylov.Non_finite index ->
-      Error (Supervisor.Non_finite { iter = !iters; index }, stats ())
-  | Guard.Non_finite_found { iter; index } ->
-      Error (Supervisor.Non_finite { iter; index }, stats ())
-  | Error.No_convergence e -> Error (e.Error.cause, stats ())
+  Vec.init (ns * n) (fun flat -> cols.(flat mod n).(flat / n))
 
 let solve_outcome ?budget ?(options = default_options) ?x0 c ~freq =
-  (* structural pre-flight: the HB Jacobian's diagonal blocks share the
-     union G+C pattern, so a deficient matching dooms every sample count *)
-  let n = Mna.size c in
-  let rank = Mna.structural_rank_gc c in
-  if rank < n then
-    Supervisor.Failed (Supervisor.structural_failure ~engine ~rank ~size:n)
-  else
-  Supervisor.run ?budget ~engine
+  (* a user-supplied x0 pins the sample count, so escalation re-runs base *)
+  let options =
+    match x0 with Some m -> { options with n_samples = m.Mat.rows } | None -> options
+  in
+  let plan strategy =
+    let o =
+      match (strategy, x0) with
+      | Supervisor.Warm_start p, _ -> { options with warm_periods = p }
+      | Supervisor.Escalate_samples f, None -> { options with n_samples = options.n_samples * f }
+      | _ -> options
+    in
+    let seed =
+      match x0 with
+      | Some m -> Some m.Mat.a
+      | None when o.warm_periods > 0 ->
+          Some (warm_start c ~freq ~ns:o.n_samples ~periods:o.warm_periods)
+      | None -> None
+    in
+    ( {
+        Hbn.dims = [| o.n_samples |];
+        max_newton = o.max_newton;
+        tol = o.tol;
+        gmres_tol = o.gmres_tol;
+      },
+      seed )
+  in
+  Hbn.run ?budget ~solver:options.solver ~precondition:options.precondition ~engine
     ~ladder:
-      [
-        Supervisor.Base;
-        Supervisor.Tighten_damping (default_damping /. 4.0);
-        Supervisor.Warm_start (4 * max 1 options.warm_periods);
-        Supervisor.Escalate_samples 2;
-      ]
-    ~attempt:(fun strategy ~iter_cap ->
-      let damping, options =
-        match strategy with
-        | Supervisor.Tighten_damping d -> (d, options)
-        | Supervisor.Warm_start p ->
-            (default_damping, { options with warm_periods = p })
-        | Supervisor.Escalate_samples f ->
-            (* a user-supplied x0 pins the sample count; re-run base instead *)
-            let options =
-              match x0 with
-              | None -> { options with n_samples = options.n_samples * f }
-              | Some _ -> options
-            in
-            (default_damping, options)
-        | _ -> (default_damping, options)
-      in
-      solve_core ~options ~damping ~iter_cap ?x0 c ~freq)
-    ()
-
-let solve ?options ?x0 c ~freq =
-  match solve_outcome ?options ?x0 c ~freq with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
+      (Hbn.ladder
+      @ [
+          Supervisor.Warm_start (4 * max 1 options.warm_periods);
+          Supervisor.Escalate_samples 2;
+        ])
+    ~plan c ~tones:[| freq |]
+  |> Supervisor.map (fun (r : Hbn.result) ->
+         let ns = r.Hbn.options.Hbn.dims.(0) in
+         {
+           circuit = c;
+           freq;
+           times = Grid.times ~period:(1.0 /. freq) ~n:ns;
+           samples = { Mat.rows = ns; cols = Mna.size c; a = r.Hbn.grid };
+           newton_iters = r.Hbn.newton_iters;
+           residual = r.Hbn.residual;
+           gmres_iters_total = r.Hbn.gmres_iters_total;
+         })
 
 let waveform res name =
   let idx = Mna.node res.circuit name in

@@ -1,4 +1,4 @@
-(** Single-tone harmonic balance.
+(** Single-tone harmonic balance: the one-tone view of {!Hbn}.
 
     Pseudospectral (collocation) formulation: the unknowns are [n_samples]
     uniform time samples of every circuit variable over one period; the
@@ -12,9 +12,15 @@
     system; the linear solves are either direct (dense, small circuits) or
     {b matrix-implicit GMRES with a block-diagonal per-harmonic complex
     preconditioner} — the scalable scheme the paper credits for making HB
-    viable on full RF ICs ([10, 31] in the text). *)
+    viable on full RF ICs ([10, 31] in the text).
 
-type linear_solver = Direct | Matrix_free_gmres
+    The Newton loop, both linear solvers and the preconditioner are
+    {!Hbn}'s, run on a one-axis grid. This module only adds the
+    single-tone seeding and retry strategy (a transient warm start and
+    sample-count escalation) and repackages the grid as a sample
+    matrix. *)
+
+type linear_solver = Hbn.linear_solver = Direct | Matrix_free_gmres
 
 type options = {
   n_samples : int;        (** time samples per period (power of 2 advised) *)
@@ -50,16 +56,12 @@ val solve_outcome :
   Rfkit_circuit.Mna.t ->
   freq:float ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised solve. Retry ladder: base, tightened Newton damping, longer
-    transient warm-start, then doubled sample count (skipped when [x0]
-    pins the grid). GMRES iteration totals surface in the report's
-    [krylov_iterations]. *)
-
-val solve :
-  ?options:options -> ?x0:Rfkit_la.Mat.t -> Rfkit_circuit.Mna.t -> freq:float -> result
-(** Periodic steady state at fundamental [freq]. [x0] optionally seeds the
-    sample matrix (e.g. from a coarser run). Exception shim over
-    {!solve_outcome}. *)
+(** Periodic steady state at fundamental [freq], supervised. [x0]
+    optionally seeds the sample matrix (e.g. from a coarser run) and pins
+    the sample count to its row count. Retry ladder: base, tightened
+    Newton damping, longer transient warm-start, then doubled sample count
+    (skipped when [x0] pins the grid). GMRES iteration totals surface in
+    the report's [krylov_iterations]. *)
 
 val waveform : result -> string -> Rfkit_la.Vec.t
 (** One period of a node voltage. *)

@@ -4,8 +4,6 @@ open Rfkit_solve
 
 exception No_convergence = Error.No_convergence
 
-let engine = "hb2"
-
 type options = {
   n1 : int;
   n2 : int;
@@ -28,338 +26,50 @@ type result = {
   gmres_iters_total : int;
 }
 
-let idx ~n2 ~n i1 i2 k = (((i1 * n2) + i2) * n) + k
-
-let point ~n2 ~n (x : Vec.t) i1 i2 = Array.init n (fun k -> x.(idx ~n2 ~n i1 i2 k))
-
-(* 2-D FFT of an n1 x n2 real field *)
-let fft2 (field : Mat.t) =
-  let n1 = field.Mat.rows and n2 = field.Mat.cols in
-  (* rows first *)
-  let rows = Array.init n1 (fun i -> Fft.forward_real (Mat.row field i)) in
-  (* then columns *)
-  let out = Cmat.make n1 n2 in
-  for j = 0 to n2 - 1 do
-    let col = Cvec.init n1 (fun i -> rows.(i).(j)) in
-    let t = Fft.forward col in
-    for i = 0 to n1 - 1 do
-      Cmat.set out i j t.(i)
-    done
-  done;
-  out
-
-let ifft2_real (spec : Cmat.t) =
-  let n1 = spec.Cmat.rows and n2 = spec.Cmat.cols in
-  let cols = Mat.make n1 n2 in
-  let tmp = Cmat.make n1 n2 in
-  for j = 0 to n2 - 1 do
-    let col = Cvec.init n1 (fun i -> Cmat.get spec i j) in
-    let t = Fft.inverse col in
-    for i = 0 to n1 - 1 do
-      Cmat.set tmp i j t.(i)
-    done
-  done;
-  for i = 0 to n1 - 1 do
-    let row = Cvec.init n2 (fun j -> Cmat.get tmp i j) in
-    let t = Fft.inverse row in
-    for j = 0 to n2 - 1 do
-      Mat.set cols i j t.(j).Cx.re
-    done
-  done;
-  cols
-
-let signed_bin k n = if k <= n / 2 then k else k - n
-
-(* (D1 + D2) applied to one unknown's bivariate samples *)
-let diff2 ~f1 ~f2 (field : Mat.t) =
-  let n1 = field.Mat.rows and n2 = field.Mat.cols in
-  let spec = fft2 field in
-  let w1 = 2.0 *. Float.pi *. f1 and w2 = 2.0 *. Float.pi *. f2 in
-  for i = 0 to n1 - 1 do
-    let k1 = signed_bin i n1 in
-    let k1 = if n1 mod 2 = 0 && i = n1 / 2 then 0 else k1 in
-    for j = 0 to n2 - 1 do
-      let k2 = signed_bin j n2 in
-      let k2 = if n2 mod 2 = 0 && j = n2 / 2 then 0 else k2 in
-      let w = (w1 *. float_of_int k1) +. (w2 *. float_of_int k2) in
-      Cmat.set spec i j (Cx.( *: ) (Cx.im w) (Cmat.get spec i j))
-    done
-  done;
-  ifft2_real spec
-
-let residual_vec c ~options ~f1 ~f2 (x : Vec.t) =
-  let { n1; n2; _ } = options in
-  let n = Mna.size c in
-  let t1_per = 1.0 /. f1 and t2_per = 1.0 /. f2 in
-  let r = Vec.create (n1 * n2 * n) in
-  let qs = Mat.make (n1 * n2) n in
-  for i1 = 0 to n1 - 1 do
-    for i2 = 0 to n2 - 1 do
-      let xp = point ~n2 ~n x i1 i2 in
-      Mat.set_row qs ((i1 * n2) + i2) (Mna.eval_q c xp);
-      let fv = Mna.eval_f c xp in
-      let t1 = t1_per *. float_of_int i1 /. float_of_int n1 in
-      let t2 = t2_per *. float_of_int i2 /. float_of_int n2 in
-      let bv = Mpde.eval_b2 c ~f1 ~f2 t1 t2 in
-      for k = 0 to n - 1 do
-        r.(idx ~n2 ~n i1 i2 k) <- fv.(k) -. bv.(k)
-      done
-    done
-  done;
-  for k = 0 to n - 1 do
-    let field = Mat.init n1 n2 (fun i1 i2 -> Mat.get qs ((i1 * n2) + i2) k) in
-    let dq = diff2 ~f1 ~f2 field in
-    for i1 = 0 to n1 - 1 do
-      for i2 = 0 to n2 - 1 do
-        r.(idx ~n2 ~n i1 i2 k) <- r.(idx ~n2 ~n i1 i2 k) +. Mat.get dq i1 i2
-      done
-    done
-  done;
-  r
-
-let apply_jacobian c ~options ~f1 ~f2 ~cs ~gs (v : Vec.t) =
-  let { n1; n2; _ } = options in
-  let n = Mna.size c in
-  let out = Vec.create (n1 * n2 * n) in
-  let cv = Mat.make (n1 * n2) n in
-  for i1 = 0 to n1 - 1 do
-    for i2 = 0 to n2 - 1 do
-      let vp = point ~n2 ~n v i1 i2 in
-      Mat.set_row cv ((i1 * n2) + i2)
-        (Sparse.matvec (cs : Sparse.t array).((i1 * n2) + i2) vp);
-      let gv = Sparse.matvec (gs : Sparse.t array).((i1 * n2) + i2) vp in
-      for k = 0 to n - 1 do
-        out.(idx ~n2 ~n i1 i2 k) <- gv.(k)
-      done
-    done
-  done;
-  for k = 0 to n - 1 do
-    let field = Mat.init n1 n2 (fun i1 i2 -> Mat.get cv ((i1 * n2) + i2) k) in
-    let dq = diff2 ~f1 ~f2 field in
-    for i1 = 0 to n1 - 1 do
-      for i2 = 0 to n2 - 1 do
-        out.(idx ~n2 ~n i1 i2 k) <- out.(idx ~n2 ~n i1 i2 k) +. Mat.get dq i1 i2
-      done
-    done
-  done;
-  out
-
-(* sample-averaged sparse stamps: every grid point shares the cached MNA
-   pattern, so the merge never grows beyond the union pattern *)
-let average_sparse arr =
-  let tot = Array.length arr in
-  let acc = ref arr.(0) in
-  for s = 1 to tot - 1 do
-    acc := Sparse.add !acc arr.(s)
-  done;
-  Sparse.scale (1.0 /. float_of_int tot) !acc
-
-(* block-diagonal per-bin preconditioner P = j(k1 w1 + k2 w2) C_avg + G_avg
-   as Csparse blocks through the complex Gilbert-Peierls LU; one shared
-   structural pattern, so the caller-held symbolic [cache] is analyzed
-   once and every other bin is a pivot-frozen refactor. *)
-let make_preconditioner ?perm ~cache ~options ~f1 ~f2 ~c_avg ~g_avg () =
-  let { n1; n2; _ } = options in
-  let n = Sparse.rows g_avg in
-  let w1 = 2.0 *. Float.pi *. f1 and w2 = 2.0 *. Float.pi *. f2 in
-  let cs = Csparse.of_real c_avg and gs = Csparse.of_real g_avg in
-  let factors =
-    Array.init (n1 * n2) (fun bin ->
-        let i = bin / n2 and j = bin mod n2 in
-        let k1 = signed_bin i n1 in
-        let k1 = if n1 mod 2 = 0 && i = n1 / 2 then 0 else k1 in
-        let k2 = signed_bin j n2 in
-        let k2 = if n2 mod 2 = 0 && j = n2 / 2 then 0 else k2 in
-        let w = (w1 *. float_of_int k1) +. (w2 *. float_of_int k2) in
-        let blk = Csparse.add gs (Csparse.scale (Cx.im w) cs) in
-        Csparse_lu.factor_cached ?perm cache blk)
-  in
-  fun (v : Vec.t) ->
-    let out = Vec.create (n1 * n2 * n) in
-    (* per-unknown 2-D FFT *)
-    let specs =
-      Array.init n (fun k ->
-          fft2 (Mat.init n1 n2 (fun i1 i2 -> v.(idx ~n2 ~n i1 i2 k))))
-    in
-    (* per-bin block solve *)
-    let solved = Cmat.make (n1 * n2) n in
-    for bin = 0 to (n1 * n2) - 1 do
-      let i = bin / n2 and j = bin mod n2 in
-      let rhs = Cvec.init n (fun k -> Cmat.get specs.(k) i j) in
-      let y = Csparse_lu.solve factors.(bin) rhs in
-      for k = 0 to n - 1 do
-        Cmat.set solved bin k y.(k)
-      done
-    done;
-    for k = 0 to n - 1 do
-      let spec = Cmat.init n1 n2 (fun i1 i2 -> Cmat.get solved ((i1 * n2) + i2) k) in
-      let field = ifft2_real spec in
-      for i1 = 0 to n1 - 1 do
-        for i2 = 0 to n2 - 1 do
-          out.(idx ~n2 ~n i1 i2 k) <- Mat.get field i1 i2
-        done
-      done
-    done;
-    out
-
-let default_damping = 5.0
-
-let solve_core ~options ~damping ~iter_cap c ~f1 ~f2 =
-  let { n1; n2; _ } = options in
-  let n = Mna.size c in
-  let xdc =
-    match Dc.solve_outcome c with
-    | Supervisor.Converged (x, _) -> x
-    (* a typed interrupt/deadline abort must not degrade into a cold
-       zero start: re-raise so the supervisor records the cause *)
-    | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-        raise Deadline.Interrupted
-    | Supervisor.Failed
-        { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-        raise (Deadline.Expired seconds)
-    | Supervisor.Failed _ -> Vec.create n
-  in
-  let x = Vec.create (n1 * n2 * n) in
-  for i1 = 0 to n1 - 1 do
-    for i2 = 0 to n2 - 1 do
-      for k = 0 to n - 1 do
-        x.(idx ~n2 ~n i1 i2 k) <- xdc.(k)
-      done
-    done
-  done;
-  (* one symbolic plan for every preconditioner block of every Newton
-     iteration: the bin blocks all share the G+C union pattern *)
-  let perm = Mna.ordering_perm c in
-  let precond_cache = ref None in
-  let iters = ref 0 in
-  let gmres_total = ref 0 in
-  let res_norm = ref infinity in
-  let converged = ref false in
-  let stats () =
-    {
-      Supervisor.iterations = !iters;
-      residual = !res_norm;
-      krylov_iterations = !gmres_total;
-    }
-  in
-  let cap = min options.max_newton iter_cap in
-  try
-    while (not !converged) && !iters < cap do
-      incr iters;
-      let r = residual_vec c ~options ~f1 ~f2 x in
-      res_norm := Vec.norm_inf r;
-      if !res_norm <= options.tol then converged := true
-      else begin
-        let zero = Sparse.of_triplets ~rows:0 ~cols:0 [] in
-        let cs = Array.make (n1 * n2) zero in
-        let gs = Array.make (n1 * n2) zero in
-        for i1 = 0 to n1 - 1 do
-          for i2 = 0 to n2 - 1 do
-            let xp = point ~n2 ~n x i1 i2 in
-            cs.((i1 * n2) + i2) <- Mna.jac_c_sparse c xp;
-            gs.((i1 * n2) + i2) <- Mna.jac_g_sparse c xp
-          done
-        done;
-        let c_avg = average_sparse cs and g_avg = average_sparse gs in
-        if Faults.singular_now ~engine then raise Lu.Singular;
-        let precond =
-          make_preconditioner ?perm ~cache:precond_cache ~options ~f1 ~f2
-            ~c_avg ~g_avg ()
-        in
-        let op = apply_jacobian c ~options ~f1 ~f2 ~cs ~gs in
-        let dx, st =
-          Krylov.gmres ~m:100 ~tol:options.gmres_tol ~max_iter:4000 ~precond op r
-        in
-        gmres_total := !gmres_total + st.Krylov.iterations;
-        if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
-          Error.fail ~engine
-            ~cause:
-              (Supervisor.Krylov_stall
-                 { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
-            "HB2 GMRES stalled";
-        Guard.check ~engine ~iter:!iters dx;
-        let step = Vec.norm_inf dx in
-        let damp = if step > damping then damping /. step else 1.0 in
-        Vec.axpy (-.damp) dx x
-      end
-    done;
-    if not !converged then
-      Error
-        ( Supervisor.Newton_stall { iterations = !iters; residual = !res_norm },
-          stats () )
-    else
-      Ok
-        ( {
-            circuit = c;
-            f1;
-            f2;
-            options;
-            grid = x;
-            newton_iters = !iters;
-            residual = !res_norm;
-            gmres_iters_total = !gmres_total;
-          },
-          stats () )
-  with
-  | Lu.Singular | Clu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
-  | Krylov.Non_finite index ->
-      Error (Supervisor.Non_finite { iter = !iters; index }, stats ())
-  | Guard.Non_finite_found { iter; index } ->
-      Error (Supervisor.Non_finite { iter; index }, stats ())
-  | Error.No_convergence e -> Error (e.Error.cause, stats ())
-
 let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
-  Supervisor.run ?budget ~engine
-    ~ladder:[ Supervisor.Base; Supervisor.Tighten_damping (default_damping /. 4.0) ]
-    ~attempt:(fun strategy ~iter_cap ->
-      let damping =
-        match strategy with
-        | Supervisor.Tighten_damping d -> d
-        | _ -> default_damping
-      in
-      solve_core ~options ~damping ~iter_cap c ~f1 ~f2)
-    ()
-
-let solve ?options c ~f1 ~f2 =
-  match solve_outcome ?options c ~f1 ~f2 with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
+  let { n1; n2; max_newton; tol; gmres_tol } = options in
+  let grid = { Hbn.dims = [| n1; n2 |]; max_newton; tol; gmres_tol } in
+  Hbn.run ?budget ~engine:"hb2" ~ladder:Hbn.ladder
+    ~plan:(fun _ -> (grid, None))
+    c ~tones:[| f1; f2 |]
+  |> Supervisor.map (fun (r : Hbn.result) ->
+         {
+           circuit = c;
+           f1;
+           f2;
+           options;
+           grid = r.Hbn.grid;
+           newton_iters = r.Hbn.newton_iters;
+           residual = r.Hbn.residual;
+           gmres_iters_total = r.Hbn.gmres_iters_total;
+         })
 
 let node_grid res name =
   let { n1; n2; _ } = res.options in
   let n = Mna.size res.circuit in
   let k = Mna.node res.circuit name in
-  Mat.init n1 n2 (fun i1 i2 -> res.grid.(idx ~n2 ~n i1 i2 k))
+  Mat.init n1 n2 (fun i1 i2 -> res.grid.((((i1 * n2) + i2) * n) + k))
 
-let mix_coefficient res name ~k1 ~k2 =
-  let { n1; n2; _ } = res.options in
-  let field = node_grid res name in
-  let spec = fft2 field in
-  let bin1 = ((k1 mod n1) + n1) mod n1 in
-  let bin2 = ((k2 mod n2) + n2) mod n2 in
-  Cx.scale (1.0 /. float_of_int (n1 * n2)) (Cmat.get spec bin1 bin2)
+let coefficients res name =
+  Hbn.mix_coefficients res.circuit ~dims:[| res.options.n1; res.options.n2 |] res.grid name
 
 let mix_amplitude res name ~k1 ~k2 =
-  let c = mix_coefficient res name ~k1 ~k2 in
-  if k1 = 0 && k2 = 0 then Cx.abs c else 2.0 *. Cx.abs c
+  Hbn.line_amplitude ~dims:[| res.options.n1; res.options.n2 |] (coefficients res name)
+    [| k1; k2 |]
 
 type spur = { k1 : int; k2 : int; freq : float; amplitude : float }
 
 let spectrum res name =
   let { n1; n2; _ } = res.options in
-  let field = node_grid res name in
-  let spec = fft2 field in
-  let scale = 1.0 /. float_of_int (n1 * n2) in
+  let signed k n = if k <= n / 2 then k else k - n in
   let out = ref [] in
-  for i = 0 to n1 - 1 do
-    for j = 0 to n2 - 1 do
-      let k1 = signed_bin i n1 and k2 = signed_bin j n2 in
+  Array.iteri
+    (fun bin c ->
+      let k1 = signed (bin / n2) n1 and k2 = signed (bin mod n2) n2 in
       let freq = (float_of_int k1 *. res.f1) +. (float_of_int k2 *. res.f2) in
       if freq >= 0.0 then begin
-        let c = Cx.scale scale (Cmat.get spec i j) in
         let amplitude = if k1 = 0 && k2 = 0 then Cx.abs c else 2.0 *. Cx.abs c in
         if amplitude > 1e-16 then out := { k1; k2; freq; amplitude } :: !out
-      end
-    done
-  done;
+      end)
+    (coefficients res name);
   List.sort (fun a b -> compare a.freq b.freq) !out

@@ -8,9 +8,15 @@
     with both spectral differentiation operators applied by 2-D FFT.
     Newton with matrix-implicit GMRES; the preconditioner is
     block-diagonal over the 2-D harmonic grid — one complex [n x n]
-    factorization of [j(k1 w1 + k2 w2) C_avg + G_avg] per mix bin. This
-    is the engine for Fig 1's modulator spectrum: tones at 80 kHz and
-    1.62 GHz, six decades apart, cost the same as any other pair. *)
+    factorization of [j(k1 w1 + k2 w2) C_avg + G_avg] per conjugate pair
+    of mix bins. This is the engine for Fig 1's modulator spectrum: tones
+    at 80 kHz and 1.62 GHz, six decades apart, cost the same as any other
+    pair.
+
+    The two-tone view of {!Hbn}: the solve is {!Hbn.run} on an
+    [[| n1; n2 |]] grid with tones [[| f1; f2 |]], and the spectra read
+    {!Hbn.mix_coefficients}; this module only maps options and result
+    fields. *)
 
 exception No_convergence of Rfkit_solve.Error.t
 (** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. *)
@@ -44,10 +50,9 @@ val solve_outcome :
   f2:float ->
   result Rfkit_solve.Supervisor.outcome
 (** Supervised solve: base attempt, then a tightened-damping retry. GMRES
-    stalls surface as {!Rfkit_solve.Supervisor.Krylov_stall}. *)
-
-val solve : ?options:options -> Rfkit_circuit.Mna.t -> f1:float -> f2:float -> result
-(** Exception shim over {!solve_outcome}. *)
+    stalls surface as {!Rfkit_solve.Supervisor.Krylov_stall}; a source
+    frequency aligned with neither tone fails fast with
+    {!Rfkit_solve.Supervisor.Unsupported}. *)
 
 val node_grid : result -> string -> Rfkit_la.Mat.t
 (** Bivariate node waveform ([n1] x [n2]). *)

@@ -15,6 +15,8 @@ type options = {
 
 let default_dims ~n_tones = Array.make n_tones 8
 
+type linear_solver = Direct | Matrix_free_gmres
+
 type result = {
   circuit : Mna.t;
   tones : float array;
@@ -50,24 +52,51 @@ let unflatten dims flat =
 
 let signed_bin k n = if k <= n / 2 then k else k - n
 
-(* angular frequency of a mix bin, with even-grid Nyquist bins zeroed *)
-let bin_omega ~tones ~dims m =
-  let w = ref 0.0 in
-  Array.iteri
-    (fun a ka ->
-      let n = dims.(a) in
-      let k = if n mod 2 = 0 && ka = n / 2 then 0 else signed_bin ka n in
-      w := !w +. (2.0 *. Float.pi *. tones.(a) *. float_of_int k))
-    m;
-  !w
+(* The collocation grid over the torus of tone phases, with two per-bin
+   tables computed once per attempt: the angular frequency of every mix
+   bin (even-grid Nyquist bins zeroed, so d/dt stays real) and the flat
+   index of its conjugate bin -m. *)
+type grid = {
+  shape : int array;
+  periods : float array;
+  tot : int;
+  omega : float array;
+  mirror : int array;
+}
+
+let make_grid ~tones ~dims =
+  let periods = Array.map (fun f -> 1.0 /. f) tones in
+  let tot = total dims in
+  let omega =
+    Array.init tot (fun flat ->
+        let w = ref 0.0 in
+        Array.iteri
+          (fun a ka ->
+            let n = dims.(a) in
+            let k = if n mod 2 = 0 && ka = n / 2 then 0 else signed_bin ka n in
+            w := !w +. (2.0 *. Float.pi /. periods.(a) *. float_of_int k))
+          (unflatten dims flat);
+        !w)
+  in
+  let mirror =
+    Array.init tot (fun flat ->
+        let m = unflatten dims flat in
+        let acc = ref 0 in
+        Array.iteri (fun a ka -> acc := (!acc * dims.(a)) + ((dims.(a) - ka) mod dims.(a))) m;
+        !acc)
+  in
+  { shape = dims; periods; tot; omega; mirror }
+
+let grid_times g flat =
+  Array.mapi
+    (fun a ka -> g.periods.(a) *. float_of_int ka /. float_of_int g.shape.(a))
+    (unflatten g.shape flat)
 
 (* in-place 1-D transforms along one axis of a complex field *)
 let transform_axis ~inverse dims a (field : Cvec.t) =
   let s = stride dims a in
   let n_a = dims.(a) in
-  let tot = total dims in
-  let lines = tot / n_a in
-  (* enumerate line bases: all flat indices with m.(a) = 0 *)
+  let lines = total dims / n_a in
   let line = Cvec.create n_a in
   for l = 0 to lines - 1 do
     (* decompose l into (outer, inner) around axis a *)
@@ -98,113 +127,136 @@ let ifftn_real dims (spec : Cvec.t) =
   Cvec.real f
 
 (* spectral application of sum_a d/dt_a to one unknown's field *)
-let diffn ~tones ~dims (field : Vec.t) =
-  let spec = fftn dims field in
-  for flat = 0 to total dims - 1 do
-    let m = unflatten dims flat in
-    let w = bin_omega ~tones ~dims m in
-    spec.(flat) <- Cx.( *: ) (Cx.im w) spec.(flat)
-  done;
-  ifftn_real dims spec
+let diffn g (field : Vec.t) =
+  let spec = fftn g.shape field in
+  Array.iteri (fun flat w -> spec.(flat) <- Cx.( *: ) (Cx.im w) spec.(flat)) g.omega;
+  ifftn_real g.shape spec
 
 (* ------------------------------------------------------------- assembly *)
 
-let point ~n (x : Vec.t) flat = Array.init n (fun k -> x.((flat * n) + k))
+(* state vectors are flat grid points with the unknown innermost *)
+let point ~n (x : Vec.t) flat = Array.sub x (flat * n) n
 
-let grid_times ~tones ~dims flat =
-  let m = unflatten dims flat in
-  Array.mapi
-    (fun a ka -> float_of_int ka /. (tones.(a) *. float_of_int dims.(a)))
-    m
-
-let residual_vec c ~options ~tones (x : Vec.t) =
-  let dims = options.dims in
-  let n = Mna.size c in
-  let tot = total dims in
-  let r = Vec.create (tot * n) in
-  let qs = Mat.make tot n in
-  for flat = 0 to tot - 1 do
-    let xp = point ~n x flat in
-    Mat.set_row qs flat (Mna.eval_q c xp);
-    let fv = Mna.eval_f c xp in
-    let bv = Mpde.eval_bn c ~tones (grid_times ~tones ~dims flat) in
-    for k = 0 to n - 1 do
-      r.((flat * n) + k) <- fv.(k) -. bv.(k)
-    done
-  done;
+(* dst += (sum_a d/dt_a) src, unknown by unknown *)
+let add_derivative g ~n (src : Vec.t) (dst : Vec.t) =
   for k = 0 to n - 1 do
-    let field = Vec.init tot (fun flat -> Mat.get qs flat k) in
-    let dq = diffn ~tones ~dims field in
-    for flat = 0 to tot - 1 do
-      r.((flat * n) + k) <- r.((flat * n) + k) +. dq.(flat)
+    let dq = diffn g (Vec.init g.tot (fun flat -> src.((flat * n) + k))) in
+    for flat = 0 to g.tot - 1 do
+      dst.((flat * n) + k) <- dst.((flat * n) + k) +. dq.(flat)
+    done
+  done
+
+(* the multivariate excitation B at every grid point; raises
+   Invalid_argument for a source frequency that matches no tone *)
+let excitation c g ~tones =
+  let n = Mna.size c in
+  let b = Vec.create (g.tot * n) in
+  for flat = 0 to g.tot - 1 do
+    Array.blit (Mpde.eval_bn c ~tones (grid_times g flat)) 0 b (flat * n) n
+  done;
+  b
+
+(* R(X) = D q(X) + f(X) - B *)
+let residual c g ~b (x : Vec.t) =
+  let n = Mna.size c in
+  let r = Vec.create (g.tot * n) and qs = Vec.create (g.tot * n) in
+  for flat = 0 to g.tot - 1 do
+    let xp = point ~n x flat in
+    Array.blit (Mna.eval_q c xp) 0 qs (flat * n) n;
+    let fv = Mna.eval_f c xp in
+    for k = 0 to n - 1 do
+      r.((flat * n) + k) <- fv.(k) -. b.((flat * n) + k)
     done
   done;
+  add_derivative g ~n qs r;
   r
 
-let apply_jacobian c ~options ~tones ~cs ~gs (v : Vec.t) =
-  let dims = options.dims in
-  let n = Mna.size c in
-  let tot = total dims in
-  let out = Vec.create (tot * n) in
-  let cv = Mat.make tot n in
-  for flat = 0 to tot - 1 do
+let residual_norm c ~tones ~dims x =
+  let g = make_grid ~tones ~dims in
+  Vec.norm_inf (residual c g ~b:(excitation c g ~tones) x)
+
+(* matrix-implicit HB Jacobian: two sparse matvecs per grid point plus a
+   spectral derivative per unknown *)
+let apply_jacobian g ~n ~cs ~gs (v : Vec.t) =
+  let out = Vec.create (g.tot * n) and cv = Vec.create (g.tot * n) in
+  for flat = 0 to g.tot - 1 do
     let vp = point ~n v flat in
-    Mat.set_row cv flat (Sparse.matvec (cs : Sparse.t array).(flat) vp);
-    let gv = Sparse.matvec (gs : Sparse.t array).(flat) vp in
-    for k = 0 to n - 1 do
-      out.((flat * n) + k) <- gv.(k)
-    done
+    Array.blit (Sparse.matvec cs.(flat) vp) 0 cv (flat * n) n;
+    Array.blit (Sparse.matvec gs.(flat) vp) 0 out (flat * n) n
   done;
-  for k = 0 to n - 1 do
-    let field = Vec.init tot (fun flat -> Mat.get cv flat k) in
-    let dq = diffn ~tones ~dims field in
-    for flat = 0 to tot - 1 do
-      out.((flat * n) + k) <- out.((flat * n) + k) +. dq.(flat)
-    done
-  done;
+  add_derivative g ~n cv out;
   out
 
-(* sample-averaged sparse stamps: every grid point shares the cached MNA
+(* dense HB Jacobian J[(p,i),(p',j)] = D[p,p'] C_p'[i,j] + delta_pp' G_p[i,j],
+   D the spectral differentiation operator over the grid; assembled from
+   the sparse stamps, small problems only *)
+let dense_jacobian g ~n ~cs ~gs =
+  let tot = g.tot in
+  let d = Mat.make tot tot in
+  for p' = 0 to tot - 1 do
+    let e = Vec.create tot in
+    e.(p') <- 1.0;
+    Mat.set_col d p' (diffn g e)
+  done;
+  let j = Mat.make (tot * n) (tot * n) in
+  for p' = 0 to tot - 1 do
+    Sparse.iter
+      (fun i jj v ->
+        for p = 0 to tot - 1 do
+          let dpp = Mat.get d p p' in
+          if dpp <> 0.0 then
+            Mat.update j ((p * n) + i) ((p' * n) + jj) (fun w -> w +. (dpp *. v))
+        done)
+      cs.(p');
+    Sparse.iter
+      (fun i jj v -> Mat.update j ((p' * n) + i) ((p' * n) + jj) (fun w -> w +. v))
+      gs.(p')
+  done;
+  j
+
+(* grid-averaged sparse stamps: every grid point shares the cached MNA
    pattern, so the merge never grows beyond the union pattern *)
 let average_sparse arr =
-  let tot = Array.length arr in
   let acc = ref arr.(0) in
-  for s = 1 to tot - 1 do
+  for s = 1 to Array.length arr - 1 do
     acc := Sparse.add !acc arr.(s)
   done;
-  Sparse.scale (1.0 /. float_of_int tot) !acc
+  Sparse.scale (1.0 /. float_of_int (Array.length arr)) !acc
 
-(* block-diagonal per-bin preconditioner P_m = j w_m C_avg + G_avg, each
-   block a Csparse factored by the complex Gilbert-Peierls LU. All bins
-   share one structural pattern (Csparse.scale keeps explicit entries at
-   w = 0), so the caller-held symbolic [cache] is analyzed once and every
-   other bin of every Newton iteration is a pivot-frozen refactor. *)
-let make_preconditioner ?perm ~cache ~options ~tones ~c_avg ~g_avg () =
-  let dims = options.dims in
-  let n = Sparse.rows g_avg in
-  let tot = total dims in
-  let cs = Csparse.of_real c_avg and gs = Csparse.of_real g_avg in
+(* Block-diagonal per-bin preconditioner P_m = j w_m C_avg + G_avg, each
+   block a Csparse factored by the complex Gilbert-Peierls LU. The input
+   is real, so bin -m is the conjugate of bin m: only one bin of each
+   conjugate pair (and each self-conjugate bin) is factored and solved,
+   the mirror is conjugated. All bins share one structural pattern
+   (Csparse.scale keeps explicit entries at w = 0), so the caller-held
+   symbolic [cache] is analyzed once and every other bin of every Newton
+   iteration is a pivot-frozen refactor. *)
+let make_preconditioner ?perm ~cache g ~n ~cs ~gs =
+  let c_avg = Csparse.of_real (average_sparse cs) in
+  let g_avg = Csparse.of_real (average_sparse gs) in
   let factors =
-    Array.init tot (fun flat ->
-        let m = unflatten dims flat in
-        let w = bin_omega ~tones ~dims m in
-        let block = Csparse.add gs (Csparse.scale (Cx.im w) cs) in
-        Csparse_lu.factor_cached ?perm cache block)
+    Array.init g.tot (fun flat ->
+        if g.mirror.(flat) >= flat then
+          let block = Csparse.add g_avg (Csparse.scale (Cx.im g.omega.(flat)) c_avg) in
+          Some (Csparse_lu.factor_cached ?perm cache block)
+        else None)
   in
   fun (v : Vec.t) ->
-    let out = Vec.create (tot * n) in
     let specs =
-      Array.init n (fun k -> fftn dims (Vec.init tot (fun flat -> v.((flat * n) + k))))
+      Array.init n (fun k -> fftn g.shape (Vec.init g.tot (fun flat -> v.((flat * n) + k))))
     in
-    let solved = Array.make tot [||] in
-    for flat = 0 to tot - 1 do
-      let rhs = Cvec.init n (fun k -> specs.(k).(flat)) in
-      solved.(flat) <- Csparse_lu.solve factors.(flat) rhs
+    (* a mirrored bin's partner has the smaller index, so it is solved first *)
+    let solved = Array.make g.tot [||] in
+    for flat = 0 to g.tot - 1 do
+      solved.(flat) <-
+        (match factors.(flat) with
+        | Some f -> Csparse_lu.solve f (Cvec.init n (fun k -> specs.(k).(flat)))
+        | None -> Cvec.map Cx.conj solved.(g.mirror.(flat)))
     done;
+    let out = Vec.create (g.tot * n) in
     for k = 0 to n - 1 do
-      let spec = Cvec.init tot (fun flat -> solved.(flat).(k)) in
-      let field = ifftn_real dims spec in
-      for flat = 0 to tot - 1 do
+      let field = ifftn_real g.shape (Cvec.init g.tot (fun flat -> solved.(flat).(k))) in
+      for flat = 0 to g.tot - 1 do
         out.((flat * n) + k) <- field.(flat)
       done
     done;
@@ -213,24 +265,21 @@ let make_preconditioner ?perm ~cache ~options ~tones ~c_avg ~g_avg () =
 (* ---------------------------------------------------------------- solve *)
 
 let default_damping = 5.0
+let ladder = [ Supervisor.Base; Supervisor.Tighten_damping (default_damping /. 4.0) ]
 
-let solve_core ~options ~damping ~iter_cap c ~tones =
-  let dims = options.dims in
+let dc_point c =
+  match Dc.solve_outcome c with
+  | Supervisor.Converged (x, _) -> x
+  (* a typed interrupt/deadline abort must not degrade into a cold
+     zero start: re-raise so the supervisor records the cause *)
+  | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
+      raise Deadline.Interrupted
+  | Supervisor.Failed { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
+      raise (Deadline.Expired seconds)
+  | Supervisor.Failed _ -> Vec.create (Mna.size c)
+
+let newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g ~b x =
   let n = Mna.size c in
-  let tot = total dims in
-  let xdc =
-    match Dc.solve_outcome c with
-    | Supervisor.Converged (x, _) -> x
-    (* a typed interrupt/deadline abort must not degrade into a cold
-       zero start: re-raise so the supervisor records the cause *)
-    | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-        raise Deadline.Interrupted
-    | Supervisor.Failed
-        { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-        raise (Deadline.Expired seconds)
-    | Supervisor.Failed _ -> Vec.create n
-  in
-  let x = Vec.init (tot * n) (fun i -> xdc.(i mod n)) in
   (* one symbolic plan for every preconditioner block of every Newton
      iteration: the bin blocks all share the G+C union pattern *)
   let perm = Mna.ordering_perm c in
@@ -250,33 +299,40 @@ let solve_core ~options ~damping ~iter_cap c ~tones =
   try
     while (not !converged) && !iters < cap do
       incr iters;
-      let r = residual_vec c ~options ~tones x in
+      let r = residual c g ~b x in
       res_norm := Vec.norm_inf r;
       if !res_norm <= options.tol then converged := true
       else begin
-        let cs = Array.init tot (fun flat -> Mna.jac_c_sparse c (point ~n x flat)) in
-        let gs = Array.init tot (fun flat -> Mna.jac_g_sparse c (point ~n x flat)) in
-        let c_avg = average_sparse cs and g_avg = average_sparse gs in
         if Faults.singular_now ~engine then raise Lu.Singular;
-        let precond =
-          make_preconditioner ?perm ~cache:precond_cache ~options ~tones ~c_avg
-            ~g_avg ()
+        let cs = Array.init g.tot (fun flat -> Mna.jac_c_sparse c (point ~n x flat)) in
+        let gs = Array.init g.tot (fun flat -> Mna.jac_g_sparse c (point ~n x flat)) in
+        let dx =
+          match solver with
+          | Direct -> Lu.solve (Lu.factor (dense_jacobian g ~n ~cs ~gs)) r
+          | Matrix_free_gmres ->
+              let precond =
+                if precondition then
+                  make_preconditioner ?perm ~cache:precond_cache g ~n ~cs ~gs
+                else Fun.id
+              in
+              let dx, st =
+                Krylov.gmres ~m:80 ~tol:options.gmres_tol ~max_iter:2000 ~precond
+                  (apply_jacobian g ~n ~cs ~gs) r
+              in
+              gmres_total := !gmres_total + st.Krylov.iterations;
+              if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
+                Error.fail ~engine
+                  ~cause:
+                    (Supervisor.Krylov_stall
+                       { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
+                  "HB GMRES did not converge";
+              dx
         in
-        let op = apply_jacobian c ~options ~tones ~cs ~gs in
-        let dx, st =
-          Krylov.gmres ~m:100 ~tol:options.gmres_tol ~max_iter:4000 ~precond op r
-        in
-        gmres_total := !gmres_total + st.Krylov.iterations;
-        if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
-          Error.fail ~engine
-            ~cause:
-              (Supervisor.Krylov_stall
-                 { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
-            "HBn GMRES stalled";
         Guard.check ~engine ~iter:!iters dx;
+        (* damped Newton update *)
         let step = Vec.norm_inf dx in
-        let damp = if step > damping then damping /. step else 1.0 in
-        Vec.axpy (-.damp) dx x
+        let scale = if step > damping then damping /. step else 1.0 in
+        Vec.axpy (-.scale) dx x
       end
     done;
     if not !converged then
@@ -303,6 +359,45 @@ let solve_core ~options ~damping ~iter_cap c ~tones =
       Error (Supervisor.Non_finite { iter; index }, stats ())
   | Error.No_convergence e -> Error (e.Error.cause, stats ())
 
+(* one attempt: a dims/tones mismatch or a source aligned with no tone is
+   a model limitation, refused before Newton as a fail-fast Unsupported *)
+let attempt ~engine ~solver ~precondition ~damping ~iter_cap (options, seed) c ~tones =
+  let unsupported msg = Error (Supervisor.Unsupported msg, Supervisor.no_stats) in
+  if Array.length options.dims <> Array.length tones then
+    unsupported "Hbn: dims and tones length mismatch"
+  else
+    let g = make_grid ~tones ~dims:options.dims in
+    match excitation c g ~tones with
+    | exception Invalid_argument msg -> unsupported msg
+    | b ->
+        let x =
+          match seed with
+          | Some s -> Vec.copy s
+          | None ->
+              let xdc = dc_point c in
+              let n = Mna.size c in
+              Vec.init (g.tot * n) (fun i -> xdc.(i mod n))
+        in
+        newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g ~b x
+
+let run ?budget ?(solver = Matrix_free_gmres) ?(precondition = true) ~engine ~ladder
+    ~plan c ~tones =
+  (* structural pre-flight: every diagonal block of the HB Jacobian has
+     the union G+C pattern, so a deficient matching dooms every grid *)
+  let n = Mna.size c in
+  let rank = Mna.structural_rank_gc c in
+  if rank < n then Supervisor.Failed (Supervisor.structural_failure ~engine ~rank ~size:n)
+  else
+    Supervisor.run ?budget ~engine ~ladder
+      ~attempt:(fun strategy ~iter_cap ->
+        let damping =
+          match strategy with
+          | Supervisor.Tighten_damping d -> d
+          | _ -> default_damping
+        in
+        attempt ~engine ~solver ~precondition ~damping ~iter_cap (plan strategy) c ~tones)
+      ()
+
 let solve_outcome ?budget ?options c ~tones =
   let options =
     match options with
@@ -315,31 +410,16 @@ let solve_outcome ?budget ?options c ~tones =
           gmres_tol = 1e-12;
         }
   in
-  if Array.length options.dims <> Array.length tones then
-    invalid_arg "Hbn.solve: dims and tones length mismatch";
-  Supervisor.run ?budget ~engine
-    ~ladder:[ Supervisor.Base; Supervisor.Tighten_damping (default_damping /. 4.0) ]
-    ~attempt:(fun strategy ~iter_cap ->
-      let damping =
-        match strategy with
-        | Supervisor.Tighten_damping d -> d
-        | _ -> default_damping
-      in
-      solve_core ~options ~damping ~iter_cap c ~tones)
-    ()
+  run ?budget ~engine ~ladder ~plan:(fun _ -> (options, None)) c ~tones
 
-let solve ?options c ~tones =
-  match solve_outcome ?options c ~tones with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
-
-let mix_amplitude res name k_vec =
-  let dims = res.options.dims in
-  let n = Mna.size res.circuit in
+let mix_coefficients c ~dims grid name =
+  let n = Mna.size c in
   let tot = total dims in
-  let idx = Mna.node res.circuit name in
-  let field = Vec.init tot (fun flat -> res.grid.((flat * n) + idx)) in
-  let spec = fftn dims field in
+  let idx = Mna.node c name in
+  let spec = fftn dims (Vec.init tot (fun flat -> grid.((flat * n) + idx))) in
+  Array.map (Cx.scale (1.0 /. float_of_int tot)) spec
+
+let line_amplitude ~dims coeffs k_vec =
   (* locate the bin of the signed mix vector *)
   let flat = ref 0 in
   Array.iteri
@@ -347,9 +427,12 @@ let mix_amplitude res name k_vec =
       let bin = ((ka mod dims.(a)) + dims.(a)) mod dims.(a) in
       flat := (!flat * dims.(a)) + bin)
     k_vec;
-  let coeff = Cx.scale (1.0 /. float_of_int tot) spec.(!flat) in
-  let all_zero = Array.for_all (fun k -> k = 0) k_vec in
-  if all_zero then Cx.abs coeff else 2.0 *. Cx.abs coeff
+  let coeff = coeffs.(!flat) in
+  if Array.for_all (fun k -> k = 0) k_vec then Cx.abs coeff else 2.0 *. Cx.abs coeff
+
+let mix_amplitude res name k_vec =
+  let dims = res.options.dims in
+  line_amplitude ~dims (mix_coefficients res.circuit ~dims res.grid name) k_vec
 
 let problem_size c ~dims = total dims * Mna.size c
 

@@ -1,23 +1,32 @@
-(** General n-tone quasi-periodic harmonic balance.
+(** General n-tone quasi-periodic harmonic balance — the one
+    harmonic-balance engine of the library.
 
-    The d-dimensional generalization of {!Hb2}: collocation on an
-    [n_1 x ... x n_d] grid over the torus of tone phases, spectral
-    differentiation applied axis by axis, Newton with matrix-implicit
-    GMRES and a block-diagonal per-mix-bin preconditioner.
+    Collocation on an [n_1 x ... x n_d] grid over the torus of tone
+    phases, spectral differentiation applied axis by axis, Newton with
+    either a dense direct solve or matrix-implicit GMRES and a
+    block-diagonal per-mix-bin preconditioner. {!Hb} (one tone) and
+    {!Hb2} (two tones) are thin views over {!run}: they only map their
+    options and retry strategies onto this core and repackage the result.
 
-    This engine exists chiefly to quantify the paper's Section 2.1
-    caveat: "the memory and time required for Harmonic Balance simulation
-    increase rapidly as more tones are added ... predicting the
-    intermodulation distortion of the entire modulator chain would
-    require ... four tones; such a simulation would probably exceed
-    available memory" — while "the time and memory requirements of
-    transient simulation are not sensitive to the number of fundamental
-    frequencies". {!problem_size} and {!memory_estimate} expose the
-    scaling, and the harness sweeps the tone count. *)
+    Conventions shared by every tone count: bin [i] along an axis of [n]
+    samples is harmonic [i] for [i <= n/2] and [i - n] above; the Nyquist
+    bin of an even axis contributes no frequency (it is unpaired, so d/dt
+    would not stay real), both in the Jacobian and in the preconditioner;
+    and since the grid is real, preconditioner bin [-m] is solved as the
+    conjugate of bin [m].
+
+    This engine also quantifies the paper's Section 2.1 caveat: "the
+    memory and time required for Harmonic Balance simulation increase
+    rapidly as more tones are added ... predicting the intermodulation
+    distortion of the entire modulator chain would require ... four
+    tones; such a simulation would probably exceed available memory" —
+    while "the time and memory requirements of transient simulation are
+    not sensitive to the number of fundamental frequencies".
+    {!problem_size} and {!memory_estimate} expose the scaling, and the
+    harness sweeps the tone count. *)
 
 exception No_convergence of Rfkit_solve.Error.t
-(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. A
-    dims/tones length mismatch still raises [Invalid_argument]. *)
+(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. *)
 
 type options = {
   dims : int array;    (** samples per tone axis *)
@@ -45,10 +54,62 @@ val solve_outcome :
   Rfkit_circuit.Mna.t ->
   tones:float array ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised solve: base attempt, then a tightened-damping retry. *)
+(** Supervised solve ({!ladder}, preconditioned GMRES, DC seed). A
+    dims/tones length mismatch or a source frequency aligned with no tone
+    fails fast with {!Rfkit_solve.Supervisor.Unsupported}. *)
 
-val solve : ?options:options -> Rfkit_circuit.Mna.t -> tones:float array -> result
-(** Exception shim over {!solve_outcome}. *)
+(** {2 The shared core} *)
+
+type linear_solver = Direct | Matrix_free_gmres
+(** Newton's linear solve: the dense Jacobian through LU (small problems),
+    or matrix-implicit GMRES. *)
+
+val default_damping : float
+(** Newton step inf-norm cap outside {!Rfkit_solve.Supervisor.Tighten_damping} rungs. *)
+
+val ladder : Rfkit_solve.Supervisor.strategy list
+(** Base attempt, then a tightened-damping retry. *)
+
+val run :
+  ?budget:Rfkit_solve.Supervisor.budget ->
+  ?solver:linear_solver ->
+  ?precondition:bool ->
+  engine:string ->
+  ladder:Rfkit_solve.Supervisor.strategy list ->
+  plan:(Rfkit_solve.Supervisor.strategy -> options * Rfkit_la.Vec.t option) ->
+  Rfkit_circuit.Mna.t ->
+  tones:float array ->
+  result Rfkit_solve.Supervisor.outcome
+(** The engine behind every view. A structural pre-flight
+    ({!Rfkit_circuit.Mna.structural_rank_gc}) refuses a structurally
+    singular circuit with zero attempts; then the supervisor runs
+    [ladder] under [engine]'s name, and [plan] maps each rung to its grid
+    options and initial grid ([None] seeds every point with {!dc_point}).
+    A [Tighten_damping d] rung caps the Newton step at [d], every other
+    rung at {!default_damping}. [solver] defaults to [Matrix_free_gmres];
+    [precondition:false] (ablation studies only) runs GMRES bare. *)
+
+val dc_point : Rfkit_circuit.Mna.t -> Rfkit_la.Vec.t
+(** DC operating point used as a seed; the zero vector when DC fails. A
+    typed interrupt or deadline abort is re-raised
+    ({!Rfkit_solve.Deadline.Interrupted} / {!Rfkit_solve.Deadline.Expired})
+    so the supervisor records it instead of starting cold. *)
+
+val residual_norm :
+  Rfkit_circuit.Mna.t -> tones:float array -> dims:int array -> Rfkit_la.Vec.t -> float
+(** Infinity norm of the HB residual of a flattened grid. *)
+
+(** {2 Spectra} *)
+
+val mix_coefficients :
+  Rfkit_circuit.Mna.t -> dims:int array -> Rfkit_la.Vec.t -> string -> Rfkit_la.Cvec.t
+(** [mix_coefficients c ~dims grid node]: complex Fourier coefficient of
+    a node voltage at every mix bin of a flattened grid, in flat bin
+    order, normalized by the grid size. *)
+
+val line_amplitude : dims:int array -> Rfkit_la.Cvec.t -> int array -> float
+(** Amplitude of the line at a signed mix vector, read from
+    {!mix_coefficients}: [|c|] at DC, [2 |c|] elsewhere. *)
 
 val mix_amplitude : result -> string -> int array -> float
 (** Amplitude of the line at [sum_i k_i f_i] for the signed mix vector. *)

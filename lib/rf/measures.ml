@@ -1,49 +1,51 @@
 open Rfkit_la
 open Rfkit_circuit
+open Rfkit_solve
+
+let ( let* ) = Result.bind
+
+let outcome = function
+  | Supervisor.Converged (res, _) -> Ok res
+  | Supervisor.Failed f -> Error f
 
 let fundamental_gain ~build ~node ~freq a =
-  let c = build a in
-  let res = Hb.solve c ~freq in
-  Hb.harmonic_amplitude res node 1 /. a
+  let* res = outcome (Hb.solve_outcome (build a) ~freq) in
+  Ok (Hb.harmonic_amplitude res node 1 /. a)
 
 let small_signal_gain ~build ~node ~freq = fundamental_gain ~build ~node ~freq 1e-3
 
 let compression_point_1db ?(a_start = 1e-3) ?(a_stop = 10.0) ~build ~node ~freq () =
-  let g0 = fundamental_gain ~build ~node ~freq a_start in
+  let* g0 = fundamental_gain ~build ~node ~freq a_start in
   let target = g0 *. (10.0 ** (-1.0 /. 20.0)) in
   (* geometric scan for the bracketing pair *)
   let rec scan a =
-    if a > a_stop then None
+    if a > a_stop then Ok None
+    else
+      let* g = fundamental_gain ~build ~node ~freq a in
+      if g <= target then Ok (Some a) else scan (a *. 1.3)
+  in
+  (* bisection on log amplitude *)
+  let rec refine lo hi k =
+    if k = 0 then Ok (sqrt (lo *. hi))
     else begin
-      let g = fundamental_gain ~build ~node ~freq a in
-      if g <= target then Some a else scan (a *. 1.3)
+      let mid = sqrt (lo *. hi) in
+      let* g = fundamental_gain ~build ~node ~freq mid in
+      if g <= target then refine lo mid (k - 1) else refine mid hi (k - 1)
     end
   in
   match scan (a_start *. 1.3) with
-  | None -> None
-  | Some hi ->
-      let lo = hi /. 1.3 in
-      (* bisection on log amplitude *)
-      let rec refine lo hi k =
-        if k = 0 then sqrt (lo *. hi)
-        else begin
-          let mid = sqrt (lo *. hi) in
-          let g = fundamental_gain ~build ~node ~freq mid in
-          if g <= target then refine lo mid (k - 1) else refine mid hi (k - 1)
-        end
-      in
-      Some (refine lo hi 20)
+  | Ok (Some hi) -> Result.map Option.some (refine (hi /. 1.3) hi 20)
+  | other -> other
 
 let iip3 ?(a_probe = 1e-3) ~build ~node ~f1 ~f2 () =
-  let c = build a_probe in
-  let res = Hb2.solve c ~f1 ~f2 in
+  let* res = outcome (Hb2.solve_outcome (build a_probe) ~f1 ~f2) in
   let a_fund = Hb2.mix_amplitude res node ~k1:1 ~k2:0 in
   let a_im3 = Hb2.mix_amplitude res node ~k1:(-1) ~k2:2 in
-  if a_im3 <= 0.0 then infinity
+  if a_im3 <= 0.0 then Ok infinity
   else
     (* fundamental grows 1:1 with input, IM3 3:1; they intersect at
        a_probe * sqrt(A_fund / A_im3) *)
-    a_probe *. sqrt (a_fund /. a_im3)
+    Ok (a_probe *. sqrt (a_fund /. a_im3))
 
 (* ----------------------------------------------------- sampled curves --
 

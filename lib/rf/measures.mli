@@ -5,10 +5,15 @@
 
     Circuits are supplied as builders parameterized by drive amplitude so
     the sweeps can re-instantiate them; outputs are voltage-amplitude
-    referred (convert to power against a reference impedance as needed). *)
+    referred (convert to power against a reference impedance as needed).
+    The HB-driven measures return the supervisor's failure, attempt trail
+    included, when a harmonic-balance solve does not converge. *)
 
 val small_signal_gain :
-  build:(float -> Rfkit_circuit.Mna.t) -> node:string -> freq:float -> float
+  build:(float -> Rfkit_circuit.Mna.t) ->
+  node:string ->
+  freq:float ->
+  (float, Rfkit_solve.Supervisor.failure) result
 (** Fundamental-output over input-amplitude at a drive small enough to be
     linear (1 mV). *)
 
@@ -19,11 +24,11 @@ val compression_point_1db :
   node:string ->
   freq:float ->
   unit ->
-  float option
+  (float option, Rfkit_solve.Supervisor.failure) result
 (** Input amplitude (volts) at which the fundamental gain has dropped 1 dB
     below its small-signal value — the 1 dB compression point. Scans a
-    geometric amplitude grid and refines by bisection. Returns [None] if
-    no compression occurs within [a_stop] (e.g. a perfectly linear
+    geometric amplitude grid and refines by bisection. [Ok None] if no
+    compression occurs within [a_stop] (e.g. a perfectly linear
     stage). *)
 
 val iip3 :
@@ -33,7 +38,7 @@ val iip3 :
   f1:float ->
   f2:float ->
   unit ->
-  float
+  (float, Rfkit_solve.Supervisor.failure) result
 (** Input-referred third-order intercept (volts amplitude, per tone): a
     two-tone HB solve at small probe amplitude [a_probe] measures the
     fundamental and the 2f2-f1 intermodulation product; the intercept

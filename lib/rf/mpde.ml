@@ -35,6 +35,7 @@ let rec split_wave_multi ~tones w =
   let d = Array.length tones in
   let zeroes () = Array.make d (Wave.Dc 0.0) in
   match w with
+  | _ when d = 1 -> [| w |] (* one axis: nothing to split *)
   | Wave.Dc _ | Wave.Pwl _ ->
       let out = zeroes () in
       out.(0) <- w;

@@ -23,7 +23,10 @@ val eval_b2 : Rfkit_circuit.Mna.t -> f1:float -> f2:float -> float -> float -> R
 val split_wave_multi : tones:float array -> Rfkit_circuit.Wave.t -> Rfkit_circuit.Wave.t array
 (** Generalization of {!split_wave} to any number of axes: each spectral
     component is assigned to the axis with the largest fundamental that
-    divides its frequency; DC and aperiodic parts ride on axis 0. *)
+    divides its frequency; DC and aperiodic parts ride on axis 0. With a
+    single tone there is nothing to split: the result is [[| w |]].
+    @raise Invalid_argument for a component aligned with no tone (two or
+    more tones). *)
 
 val eval_bn : Rfkit_circuit.Mna.t -> tones:float array -> float array -> Rfkit_la.Vec.t
 (** Multivariate excitation [b^(t_1, ..., t_d)] for the n-tone MPDE;

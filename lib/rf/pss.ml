@@ -64,10 +64,6 @@ let default_chain ?(n_samples = Hb.default_options.Hb.n_samples) () =
     Tran_fft { periods = 12; steps_per_period = 256; n_samples = 64 };
   ]
 
-let map_outcome f = function
-  | Supervisor.Converged (x, r) -> Supervisor.Converged (f x, r)
-  | Supervisor.Failed g -> Supervisor.Failed g
-
 (* The cascade's shared budget axes are wall clock and Newton iterations.
    The transient fallback counts integration steps, not Newton iterations,
    so it keeps its own step-sized iteration pool and inherits only the
@@ -76,9 +72,9 @@ let to_stage c ~freq spec =
   Cascade.stage ~engine:(stage_engine spec) (fun ~budget () ->
       match spec with
       | Hb_stage options ->
-          map_outcome of_hb (Hb.solve_outcome ~budget ~options c ~freq)
+          Supervisor.map of_hb (Hb.solve_outcome ~budget ~options c ~freq)
       | Shooting_stage options ->
-          map_outcome of_shooting (Shooting.solve_outcome ~budget ~options c ~freq)
+          Supervisor.map of_shooting (Shooting.solve_outcome ~budget ~options c ~freq)
       | Tran_fft { periods; steps_per_period; n_samples } ->
           let period = 1.0 /. freq in
           let dt = period /. float_of_int steps_per_period in
@@ -86,19 +82,12 @@ let to_stage c ~freq spec =
           let budget =
             { Tran.default_budget with Supervisor.wall_clock = budget.Supervisor.wall_clock }
           in
-          map_outcome (of_tran c ~freq ~n:n_samples)
+          Supervisor.map (of_tran c ~freq ~n:n_samples)
             (Tran.run_outcome ~budget c ~t_stop ~dt))
 
 let solve_outcome ?budget ?chain c ~freq =
   let chain = match chain with Some l -> l | None -> default_chain () in
   Cascade.run ?budget (List.map (to_stage c ~freq) chain)
-
-let solve ?budget ?chain c ~freq =
-  match solve_outcome ?budget ?chain c ~freq with
-  | Cascade.Completed (sol, report) -> (sol, report)
-  | Cascade.Exhausted f ->
-      Error.fail ~engine:"pss-cascade" ~cause:f.Cascade.x_cause
-        (Cascade.failure_to_string f)
 
 (* ------------------------------------------------------------ measures -- *)
 

@@ -56,16 +56,6 @@ val solve_outcome :
     transient fallback keeps its own step-sized pool (its "iterations"
     are integration steps). *)
 
-val solve :
-  ?budget:Rfkit_solve.Supervisor.budget ->
-  ?chain:stage_spec list ->
-  Rfkit_circuit.Mna.t ->
-  freq:float ->
-  solution * Rfkit_solve.Cascade.report
-(** Exception shim over {!solve_outcome}.
-    @raise Rfkit_solve.Error.No_convergence when the whole chain is
-    exhausted. *)
-
 val waveform : solution -> string -> Rfkit_la.Vec.t
 val harmonic_amplitude : solution -> string -> int -> float
 

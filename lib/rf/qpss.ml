@@ -130,10 +130,6 @@ let default_chain () =
     Env_stage { options = Envelope.default_options; periods = 2 };
   ]
 
-let map_outcome f = function
-  | Supervisor.Converged (x, r) -> Supervisor.Converged (f x, r)
-  | Supervisor.Failed g -> Supervisor.Failed g
-
 (* Same budget convention as the PSS cascade: the wall clock is shared
    across every stage, while the envelope march — whose "iterations" are
    solved slices, not Newton steps — keeps its own iteration pool. *)
@@ -141,13 +137,13 @@ let to_stage c ~f1 ~f2 spec =
   Cascade.stage ~engine:(stage_engine spec) (fun ~budget () ->
       match spec with
       | Hb2_stage options ->
-          map_outcome of_hb2 (Hb2.solve_outcome ~budget ~options c ~f1 ~f2)
+          Supervisor.map of_hb2 (Hb2.solve_outcome ~budget ~options c ~f1 ~f2)
       | Mmft_stage options ->
-          map_outcome of_mmft (Mmft.solve_outcome ~budget ~options c ~f1 ~f2)
+          Supervisor.map of_mmft (Mmft.solve_outcome ~budget ~options c ~f1 ~f2)
       | Mfdtd_stage options ->
-          map_outcome of_mfdtd (Mfdtd.solve_outcome ~budget ~options c ~f1 ~f2)
+          Supervisor.map of_mfdtd (Mfdtd.solve_outcome ~budget ~options c ~f1 ~f2)
       | Hs_stage options ->
-          map_outcome of_hs (Hs.solve_outcome ~budget ~options c ~f1 ~f2)
+          Supervisor.map of_hs (Hs.solve_outcome ~budget ~options c ~f1 ~f2)
       | Env_stage { options; periods } ->
           let t1_stop = float_of_int periods /. f1 in
           let budget =
@@ -156,20 +152,13 @@ let to_stage c ~f1 ~f2 spec =
               Supervisor.wall_clock = budget.Supervisor.wall_clock;
             }
           in
-          map_outcome
+          Supervisor.map
             (of_envelope ~f1 ~periods)
             (Envelope.run_outcome ~budget ~options c ~f1 ~f2 ~t1_stop))
 
 let solve_outcome ?budget ?chain c ~f1 ~f2 =
   let chain = match chain with Some l -> l | None -> default_chain () in
   Cascade.run ?budget (List.map (to_stage c ~f1 ~f2) chain)
-
-let solve ?budget ?chain c ~f1 ~f2 =
-  match solve_outcome ?budget ?chain c ~f1 ~f2 with
-  | Cascade.Completed (sol, report) -> (sol, report)
-  | Cascade.Exhausted f ->
-      Error.fail ~engine:"qpss-cascade" ~cause:f.Cascade.x_cause
-        (Cascade.failure_to_string f)
 
 (* ------------------------------------------------------- certification -- *)
 

@@ -61,16 +61,6 @@ val solve_outcome :
 (** Run the cascade. Wall clock is shared across every stage; the
     envelope fallback keeps its own slice-sized iteration pool. *)
 
-val solve :
-  ?budget:Rfkit_solve.Supervisor.budget ->
-  ?chain:stage_spec list ->
-  Rfkit_circuit.Mna.t ->
-  f1:float ->
-  f2:float ->
-  solution * Rfkit_solve.Cascade.report
-(** Exception shim over {!solve_outcome}.
-    @raise Rfkit_solve.Error.No_convergence when the chain is exhausted. *)
-
 val cross_error : nodes:string list -> solution -> solution -> float
 (** Largest relative disagreement between two solutions' mix-product
     amplitudes over the named nodes and mixes [|k1| <= 2, 0 <= k2 <= 2],

@@ -96,6 +96,8 @@ type failure = {
 
 type 'a outcome = Converged of 'a * report | Failed of failure
 
+let map f = function Converged (x, r) -> Converged (f x, r) | Failed g -> Failed g
+
 (* zero-attempt failure for structural prechecks: the engine refused to
    run any ladder rung because the pattern proves the system singular *)
 let structural_failure ~engine ~rank ~size =

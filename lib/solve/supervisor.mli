@@ -105,6 +105,9 @@ type failure = {
 
 type 'a outcome = Converged of 'a * report | Failed of failure
 
+val map : ('a -> 'b) -> 'a outcome -> 'b outcome
+(** Transform a converged value; a failure passes through unchanged. *)
+
 val structural_failure : engine:string -> rank:int -> size:int -> failure
 (** Zero-attempt {!failure} with cause {!Structurally_singular}: what an
     engine returns when its structural pre-flight rejects the system

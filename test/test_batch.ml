@@ -695,6 +695,43 @@ let test_factor_cached_counts () =
   check_int "one full analysis" 1 fulls;
   check_int "one refactor" 1 refactors
 
+(* the factorization ledger is per domain: a job factoring on one domain
+   must not see (or clobber) the fill of a job running on another *)
+let test_ledger_domain_local () =
+  let tridiag n =
+    La.Sparse.of_triplets ~rows:n ~cols:n
+      (List.concat_map
+         (fun i ->
+           ((i, i, 4.0) :: (if i > 0 then [ (i, i - 1, -1.0) ] else []))
+           @ if i < n - 1 then [ (i, i + 1, -1.0) ] else [])
+         (List.init n Fun.id))
+  in
+  let dense n =
+    La.Sparse.of_triplets ~rows:n ~cols:n
+      (List.concat_map
+         (fun i ->
+           List.init n (fun j -> (i, j, if i = j then float_of_int n else 1.0)))
+         (List.init n Fun.id))
+  in
+  La.Sparse_lu.reset_counts ();
+  La.Csparse_lu.reset_counts ();
+  ignore (La.Sparse_lu.factor (tridiag 5));
+  ignore (La.Csparse_lu.factor (La.Csparse.of_real (tridiag 5)));
+  let fill_a = La.Sparse_lu.fill_nnz () and cfill_a = La.Csparse_lu.fill_nnz () in
+  let fill_b, cfill_b =
+    Domain.join
+      (Domain.spawn (fun () ->
+           ignore (La.Sparse_lu.factor (dense 12));
+           ignore (La.Csparse_lu.factor (La.Csparse.of_real (dense 12)));
+           (La.Sparse_lu.fill_nnz (), La.Csparse_lu.fill_nnz ())))
+  in
+  Alcotest.(check bool) "the other domain's fill differs" true
+    (fill_b <> fill_a && cfill_b <> cfill_a);
+  check_int "real fill is this domain's" fill_a (La.Sparse_lu.fill_nnz ());
+  check_int "complex fill is this domain's" cfill_a (La.Csparse_lu.fill_nnz ());
+  check_int "real full count is this domain's" 1 (snd (La.Sparse_lu.counts ()));
+  check_int "complex full count is this domain's" 1 (snd (La.Csparse_lu.counts ()))
+
 let suite =
   [
     ( "batch.hash",
@@ -755,5 +792,6 @@ let suite =
       [
         Alcotest.test_case "refactor agrees" `Quick test_refactor_agrees_with_factor;
         Alcotest.test_case "factor_cached counts" `Quick test_factor_cached_counts;
+        Alcotest.test_case "ledger is domain-local" `Quick test_ledger_domain_local;
       ] );
   ]

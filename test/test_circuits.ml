@@ -8,6 +8,11 @@ open Rfkit_circuits
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
+let converged = function
+  | Rfkit_solve.Supervisor.Converged (r, _) -> r
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
+
 (* -------------------------------------------------------- Fig 4 mixer *)
 
 let test_mixer_fig4_numbers () =
@@ -45,8 +50,8 @@ let test_modulator_fig1_numbers () =
   let p = Modulator.paper_params in
   let c = Modulator.build p in
   let res =
-    Hb2.solve ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c
-      ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo
+    converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c
+      ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo)
   in
   let carrier = Hb2.mix_amplitude res Modulator.output_node ~k1:(-1) ~k2:1 in
   let image = Hb2.mix_amplitude res Modulator.output_node ~k1:1 ~k2:1 in
@@ -62,8 +67,8 @@ let test_modulator_ideal_rejects_image () =
   let p = { Modulator.paper_params with Modulator.gain_imbalance = 0.0 } in
   let c = Modulator.build p in
   let res =
-    Hb2.solve ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c
-      ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo
+    converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c
+      ~f1:p.Modulator.f_bb ~f2:p.Modulator.f_lo)
   in
   let carrier = Hb2.mix_amplitude res Modulator.output_node ~k1:(-1) ~k2:1 in
   let image = Hb2.mix_amplitude res Modulator.output_node ~k1:1 ~k2:1 in

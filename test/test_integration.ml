@@ -10,6 +10,11 @@ open Rfkit_rf
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
+let converged = function
+  | Rfkit_solve.Supervisor.Converged (r, _) -> r
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
+
 (* ------------------------------------------------- extraction -> circuit *)
 
 let test_extraction_feeds_circuit () =
@@ -88,7 +93,7 @@ let test_engines_agree_on_mixer () =
   Netlist.capacitor nl "CM" "mix" "0" 2e-12;
   let c = Mna.build nl in
   let hb2 =
-    Hb2.solve ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2
+    converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2)
   in
   let a_hb2 = Hb2.mix_amplitude hb2 "mix" ~k1:1 ~k2:1 in
   let mmft = Mmft.solve c ~f1 ~f2 in
@@ -135,7 +140,7 @@ let test_deck_to_hb_flow () =
     (List.exists (function Deck.Hb _ -> true | _ -> false) dirs);
   let freq = List.hd (Mna.fundamentals c) in
   check_float ~eps:1.0 "fundamental from deck" 5e6 freq;
-  let res = Hb.solve c ~freq in
+  let res = converged (Hb.solve_outcome c ~freq) in
   let dc = (Grid.harmonic (Hb.waveform res "out") 0).Cx.re in
   Alcotest.(check bool) (Printf.sprintf "dc %.3f" dc) true (dc > 0.2 && dc < 1.5)
 

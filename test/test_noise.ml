@@ -8,6 +8,11 @@ open Rfkit_noise
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
+let converged = function
+  | Rfkit_solve.Supervisor.Converged (r, _) -> r
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
+
 (* shared solved orbit: lossy van der Pol (has a thermal noise source) *)
 let vdp_orbit =
   lazy (Oscillators.solve ~steps_per_period:300 (Oscillators.van_der_pol ()))
@@ -209,7 +214,7 @@ let test_cyclo_collapses_to_lti () =
   Netlist.resistor nl "R1" "in" "out" 1e3;
   Netlist.capacitor nl "C1" "out" "0" 1e-9;
   let c = Mna.build nl in
-  let hb = Rfkit_rf.Hb.solve c ~freq:1e6 in
+  let hb = converged (Rfkit_rf.Hb.solve_outcome c ~freq:1e6) in
   let freqs = [| 1e4; 159.155e3; 2.5e6 |] in
   let cyc = Cyclo.output_noise hb ~node:"out" ~freqs in
   let ac = Ac.output_noise c ~node:"out" ~freqs in
@@ -231,7 +236,7 @@ let test_cyclo_noise_folding () =
   Netlist.resistor nl "RM" "mix" "0" 1e3;
   Netlist.capacitor nl "CM" "mix" "0" 1e-15;
   let c = Mna.build nl in
-  let hb = Rfkit_rf.Hb.solve c ~freq:f_lo in
+  let hb = converged (Rfkit_rf.Hb.solve_outcome c ~freq:f_lo) in
   let out = Cyclo.output_noise hb ~node:"mix" ~freqs:[| 5e6 |] in
   let s_r = 4.0 *. Device.boltzmann *. Device.room_temp *. 1e3 in
   let expect = (0.5 *. s_r) +. s_r in
@@ -258,7 +263,7 @@ let test_cyclo_modulated_source () =
   Netlist.resistor nl "R1" "in" "d" 1e3;
   Netlist.diode nl "D1" "d" "0" ();
   let c = Mna.build nl in
-  let hb = Rfkit_rf.Hb.solve c ~freq:f0 in
+  let hb = converged (Rfkit_rf.Hb.solve_outcome c ~freq:f0) in
   let out = Cyclo.output_noise hb ~node:"d" ~freqs:[| 1e6 |] in
   Alcotest.(check bool) (Printf.sprintf "psd %.3e positive" out.(0)) true (out.(0) > 0.0)
 

@@ -9,6 +9,11 @@ open Rfkit_rf
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
+let converged = function
+  | Rfkit_solve.Supervisor.Converged (r, _) -> r
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
+
 (* --------------------------------------------------------------- fixtures *)
 
 (* series RC low-pass driven by a sine *)
@@ -81,7 +86,7 @@ let test_hb_linear_matches_ac () =
   let freq = 159.155e3 in
   (* near the RC corner *)
   let c = rc_lowpass ~ampl:1.0 ~freq in
-  let res = Hb.solve c ~freq in
+  let res = converged (Hb.solve_outcome c ~freq) in
   let h = expected_rc_transfer ~freq in
   check_float ~eps:1e-6 "fundamental amplitude" (Cx.abs h)
     (Hb.harmonic_amplitude res "out" 1);
@@ -90,11 +95,11 @@ let test_hb_linear_matches_ac () =
 let test_hb_gmres_matches_direct () =
   let freq = 1e6 in
   let c = rectifier ~freq in
-  let direct = Hb.solve c ~freq in
+  let direct = converged (Hb.solve_outcome c ~freq) in
   let gmres =
-    Hb.solve
+    converged (Hb.solve_outcome
       ~options:{ Hb.default_options with solver = Hb.Matrix_free_gmres }
-      c ~freq
+      c ~freq)
   in
   check_float ~eps:1e-6 "dc output agrees"
     (Hb.harmonic_amplitude direct "out" 0)
@@ -106,7 +111,7 @@ let test_hb_gmres_matches_direct () =
 
 let test_hb_rectifier_dc () =
   let c = rectifier ~freq:1e6 in
-  let res = Hb.solve c ~freq:1e6 in
+  let res = converged (Hb.solve_outcome c ~freq:1e6) in
   (* half-wave rectified 2 V sine into light load: positive DC well below peak *)
   let dc = Grid.harmonic (Hb.waveform res "out") 0 in
   Alcotest.(check bool)
@@ -120,7 +125,7 @@ let test_hb_rectifier_dc () =
 let test_hb_residual_of_solution () =
   let freq = 2e6 in
   let c = rectifier ~freq in
-  let res = Hb.solve c ~freq in
+  let res = converged (Hb.solve_outcome c ~freq) in
   Alcotest.(check bool) "residual small" true
     (Hb.residual_norm c ~freq res.Hb.samples < 1e-8)
 
@@ -129,7 +134,7 @@ let test_hb_residual_of_solution () =
 let test_shooting_matches_hb () =
   let freq = 1e6 in
   let c = rectifier ~freq in
-  let hb = Hb.solve c ~freq in
+  let hb = converged (Hb.solve_outcome c ~freq) in
   let sh =
     Shooting.solve
       ~options:{ Shooting.default_options with steps_per_period = 400 }
@@ -366,7 +371,7 @@ let test_hb2_linear_two_tone () =
   Netlist.capacitor nl "C1" "out" "0" 1e-9;
   let c = Mna.build nl in
   let res =
-    Hb2.solve ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2
+    converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2)
   in
   let h1 = Cx.abs (expected_rc_transfer ~freq:f1) in
   let h2 = Cx.abs (expected_rc_transfer ~freq:f2) in
@@ -390,7 +395,7 @@ let test_hb2_intermodulation () =
   Netlist.resistor nl "RL" "mid" "0" r_load;
   let c = Mna.build nl in
   let res =
-    Hb2.solve ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2
+    converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2)
   in
   (* the 2f2 - f1 like products exist; check IM at (1, 2): amplitude of the
      cubic term (3/4) g3 a^2 a ... loosely: it must be well above floor and
@@ -407,7 +412,7 @@ let test_hb2_spectrum_listing () =
   Netlist.resistor nl "R1" "in" "0" 1e3;
   let c = Mna.build nl in
   let res =
-    Hb2.solve ~options:{ Hb2.default_options with n1 = 4; n2 = 4 } c ~f1 ~f2
+    converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 4; n2 = 4 } c ~f1 ~f2)
   in
   let spurs = Hb2.spectrum res "in" in
   (* both驱动 tones appear at the right frequencies *)
@@ -421,28 +426,60 @@ let test_hb2_spectrum_listing () =
 
 (* ------------------------------------------------------------------ HBn *)
 
-let test_hbn_matches_hb2 () =
+let test_hbn_embeds_one_tone () =
+  (* a circuit driven only at f1 and solved on a two-tone torus: nothing
+     varies along the f2 axis, so the f1 harmonics must be the single-tone
+     answer on the same f1 grid *)
+  let f1 = 1e6 and f2 = 1.31e9 in
+  let c = rectifier ~freq:f1 in
+  let hb =
+    converged (Hb.solve_outcome ~options:{ Hb.default_options with n_samples = 16 } c ~freq:f1)
+  in
+  let hbn =
+    converged
+      (Hbn.solve_outcome
+         ~options:{ Hbn.dims = [| 16; 4 |]; max_newton = 60; tol = 1e-9; gmres_tol = 1e-12 }
+         c ~tones:[| f1; f2 |])
+  in
+  for k = 0 to 4 do
+    let a1 = Hb.harmonic_amplitude hb "out" k in
+    check_float ~eps:(1e-8 +. (1e-6 *. a1)) (Printf.sprintf "harmonic %d" k) a1
+      (Hbn.mix_amplitude hbn "out" [| k; 0 |])
+  done;
+  check_float ~eps:1e-9 "nothing on the f2 axis" 0.0 (Hbn.mix_amplitude hbn "out" [| 0; 1 |])
+
+let test_hbn_direct_matches_gmres () =
+  (* the linear solver is an implementation choice: the dense direct
+     Newton step and preconditioned GMRES must land on the same answer,
+     with one tone and with two *)
+  let solve ~solver c ~tones ~dims =
+    converged
+      (Hbn.run ~solver ~engine:"hbn" ~ladder:Hbn.ladder
+         ~plan:(fun _ -> ({ Hbn.dims; max_newton = 60; tol = 1e-10; gmres_tol = 1e-12 }, None))
+         c ~tones)
+  in
+  let agree label c ~tones ~dims ~node mixes =
+    let direct = solve ~solver:Hbn.Direct c ~tones ~dims in
+    let gmres = solve ~solver:Hbn.Matrix_free_gmres c ~tones ~dims in
+    Alcotest.(check int) (label ^ ": direct runs no GMRES") 0 direct.Hbn.gmres_iters_total;
+    Alcotest.(check bool) (label ^ ": gmres iterated") true (gmres.Hbn.gmres_iters_total > 0);
+    List.iter
+      (fun k ->
+        let a = Hbn.mix_amplitude direct node k in
+        check_float ~eps:(1e-9 +. (1e-7 *. a)) (label ^ " mix") a
+          (Hbn.mix_amplitude gmres node k))
+      mixes
+  in
+  agree "one tone" (rectifier ~freq:1e6) ~tones:[| 1e6 |] ~dims:[| 16 |] ~node:"out"
+    [ [| 0 |]; [| 1 |]; [| 2 |]; [| 3 |] ];
   let f1 = 1e6 and f2 = 1.31e9 in
   let nl = Netlist.create () in
   Netlist.vsource nl "V1" "in" "0" (Wave.Sum [ Wave.sine 0.3 f1; Wave.sine 0.3 f2 ]);
   Netlist.cubic_conductor nl "GN" "in" "mid" ~g1:1e-3 ~g3:2e-4;
   Netlist.resistor nl "RL" "mid" "0" 1e3;
   Netlist.capacitor nl "CL" "mid" "0" 1e-13;
-  let c = Mna.build nl in
-  let hb2 = Hb2.solve ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2 in
-  let hbn =
-    Hbn.solve
-      ~options:{ Hbn.dims = [| 8; 8 |]; max_newton = 60; tol = 1e-9; gmres_tol = 1e-12 }
-      c ~tones:[| f1; f2 |]
-  in
-  List.iter
-    (fun (k1, k2) ->
-      let a2 = Hb2.mix_amplitude hb2 "mid" ~k1 ~k2 in
-      let an = Hbn.mix_amplitude hbn "mid" [| k1; k2 |] in
-      check_float ~eps:(1e-9 +. (1e-9 *. a2))
-        (Printf.sprintf "mix (%d,%d)" k1 k2)
-        a2 an)
-    [ (1, 0); (0, 1); (2, 1); (1, 2); (3, 0) ]
+  agree "two tones" (Mna.build nl) ~tones:[| f1; f2 |] ~dims:[| 8; 8 |] ~node:"mid"
+    [ [| 1; 0 |]; [| 0; 1 |]; [| 2; 1 |]; [| 1; 2 |]; [| 3; 0 |] ]
 
 let test_hbn_three_tone_im3 () =
   (* two closely spaced RF tones through a cubic compressor then an ideal
@@ -458,10 +495,10 @@ let test_hbn_three_tone_im3 () =
   Netlist.capacitor nl "CM" "mix" "0" 1e-13;
   let c = Mna.build nl in
   let res =
-    Hbn.solve
+    converged (Hbn.solve_outcome
       ~options:
         { Hbn.dims = [| 8; 8; 8 |]; max_newton = 60; tol = 1e-10; gmres_tol = 1e-12 }
-      c ~tones:[| fa; fb; flo |]
+      c ~tones:[| fa; fb; flo |])
   in
   let up = Hbn.mix_amplitude res "mix" [| 1; 0; 1 |] in
   let im3a = Hbn.mix_amplitude res "mix" [| 2; -1; 1 |] in
@@ -517,8 +554,9 @@ let test_p1db_of_tanh_limiter () =
       Measures.compression_point_1db ~build:(tanh_stage vsat) ~node:"out"
         ~freq:10e6 ()
     with
-    | Some a -> a
-    | None -> Alcotest.fail "tanh limiter must compress within the scan range"
+    | Ok (Some a) -> a
+    | Ok None -> Alcotest.fail "tanh limiter must compress within the scan range"
+    | Error f -> Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
   in
   (* series expansion predicts ~0.66 vsat; the full tanh compresses a bit
      earlier, so accept 0.55..0.75 vsat *)
@@ -542,11 +580,36 @@ let cubic_stage g1 g3 a =
 let test_iip3_of_cubic () =
   let g1 = 1e-3 and g3 = 3e-3 in
   let a_iip3 =
-    Measures.iip3 ~a_probe:0.05 ~build:(cubic_stage g1 g3) ~node:"out" ~f1:10e6
-      ~f2:11e6 ()
+    match
+      Measures.iip3 ~a_probe:0.05 ~build:(cubic_stage g1 g3) ~node:"out" ~f1:10e6
+        ~f2:11e6 ()
+    with
+    | Ok a -> a
+    | Error f -> Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
   in
   let analytic = sqrt (4.0 /. 3.0 *. (g1 /. g3)) in
   check_float ~eps:(0.03 *. analytic) "IIP3 matches (4/3)|g1/g3|" analytic a_iip3
+
+let test_measures_typed_failure () =
+  (* two ideal sources in parallel: structurally singular, so every HB
+     solve fails its pre-flight; the measures return that failure *)
+  let vloop _ =
+    let nl = Netlist.create () in
+    Netlist.vsource nl "V1" "in" "0" (Wave.sine 0.1 10e6);
+    Netlist.vsource nl "V2" "in" "0" (Wave.sine 0.1 10e6);
+    Netlist.resistor nl "RL" "in" "0" 1e3;
+    Mna.build nl
+  in
+  let structural = function
+    | Error { Rfkit_solve.Supervisor.cause = Structurally_singular _; _ } -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "small-signal gain" true
+    (structural (Measures.small_signal_gain ~build:vloop ~node:"in" ~freq:10e6));
+  Alcotest.(check bool) "compression point" true
+    (structural (Measures.compression_point_1db ~build:vloop ~node:"in" ~freq:10e6 ()));
+  Alcotest.(check bool) "iip3" true
+    (structural (Measures.iip3 ~build:vloop ~node:"in" ~f1:10e6 ~f2:11e6 ()))
 
 let test_noise_figure_attenuator () =
   (* textbook: a matched resistive attenuator's noise figure equals its
@@ -576,19 +639,30 @@ let test_mmft_rejects_close_tones () =
        false
      with Mmft.No_convergence _ -> true)
 
+let unsupported = function
+  | Rfkit_solve.Supervisor.Failed { Rfkit_solve.Supervisor.cause = Unsupported _; _ } -> true
+  | _ -> false
+
 let test_hbn_rejects_dims_mismatch () =
   let nl = Netlist.create () in
   Netlist.vsource nl "V1" "a" "0" (Wave.sine 0.1 1e6);
   Netlist.resistor nl "R1" "a" "0" 1e3;
   let c = Mna.build nl in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore
-         (Hbn.solve
-            ~options:{ Hbn.dims = [| 8; 8 |]; max_newton = 5; tol = 1e-9; gmres_tol = 1e-10 }
-            c ~tones:[| 1e6 |]);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "typed Unsupported" true
+    (unsupported
+       (Hbn.solve_outcome
+          ~options:{ Hbn.dims = [| 8; 8 |]; max_newton = 5; tol = 1e-9; gmres_tol = 1e-10 }
+          c ~tones:[| 1e6 |]))
+
+let test_hb2_rejects_unaligned_source () =
+  (* a 3.7 MHz source is a multiple of neither tone: the two-tone grid
+     cannot represent it, and the outcome API says so with a typed cause *)
+  let nl = Netlist.create () in
+  Netlist.vsource nl "V1" "a" "0" (Wave.Sum [ Wave.sine 0.1 1e6; Wave.sine 0.1 3.7e6 ]);
+  Netlist.resistor nl "R1" "a" "0" 1e3;
+  let c = Mna.build nl in
+  Alcotest.(check bool) "typed Unsupported" true
+    (unsupported (Hb2.solve_outcome c ~f1:1e6 ~f2:1.31e9))
 
 let test_autonomous_needs_oscillation () =
   (* a damped RC circuit with no source: autonomous shooting must detect
@@ -655,7 +729,7 @@ let qcheck_suite =
         Netlist.resistor nl "R1" "in" "out" r;
         Netlist.capacitor nl "C1" "out" "0" cap;
         let c = Mna.build nl in
-        let res = Hb.solve c ~freq in
+        let res = converged (Hb.solve_outcome c ~freq) in
         Float.abs (Hb.harmonic_amplitude res "out" 1 -. (1.0 /. sqrt 2.0)) < 1e-5);
     Test.make ~name:"mmft: delay matrix shifts band-limited sequences" ~count:40
       (QCheck.make
@@ -742,7 +816,8 @@ let suite =
       ] );
     ( "rf.hbn",
       [
-        tc "matches hb2" test_hbn_matches_hb2;
+        tc "one tone embeds in two" test_hbn_embeds_one_tone;
+        tc "direct vs gmres" test_hbn_direct_matches_gmres;
         slow "three-tone im3" test_hbn_three_tone_im3;
         tc "memory scaling" test_hbn_memory_scales_with_tones;
       ] );
@@ -753,11 +828,13 @@ let suite =
         slow "p1db of tanh" test_p1db_of_tanh_limiter;
         tc "iip3 of cubic" test_iip3_of_cubic;
         tc "noise figure" test_noise_figure_attenuator;
+        tc "failed solve is typed" test_measures_typed_failure;
       ] );
     ( "rf.failures",
       [
         tc "mmft close tones" test_mmft_rejects_close_tones;
         tc "hbn dims mismatch" test_hbn_rejects_dims_mismatch;
+        tc "hb2 unaligned source" test_hb2_rejects_unaligned_source;
         slow "autonomous needs oscillation" test_autonomous_needs_oscillation;
       ] );
     ("rf.properties", List.map QCheck_alcotest.to_alcotest qcheck_suite);
