@@ -145,19 +145,20 @@ let report () =
   List.iter
     (fun k ->
       match
-        Rf.Mmft.solve
+        Rf.Mmft.solve_outcome
           ~options:{ Rf.Mmft.default_options with slow_harmonics = k; steps2 = 50 }
           c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo
       with
-      | res ->
+      | Rfkit.Solve.Supervisor.Converged (res, _) ->
           let a1 = Rf.Mmft.mix_amplitude res Mixer.output_node ~slow:1 ~fast:1 in
           let a3 =
             if k >= 3 then Rf.Mmft.mix_amplitude res Mixer.output_node ~slow:3 ~fast:1
             else nan
           in
           Printf.printf "  %-6d %-12.3f %-12.3f\n" k (a1 *. 1e3) (a3 *. 1e3)
-      | exception Rf.Mmft.No_convergence e ->
-          Printf.printf "  %-6d %s\n" k (Rfkit.Solve.Error.to_string e))
+      | Rfkit.Solve.Supervisor.Failed f ->
+          Printf.printf "  %-6d %s\n" k
+            (Rfkit.Solve.Error.to_string (Rfkit.Solve.Error.of_failure ~engine:"mmft" f)))
     [ 1; 2; 3; 4 ];
   Printf.printf "  (K = 3 -- the paper's choice -- already captures both outputs)\n"
 

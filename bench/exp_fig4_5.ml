@@ -15,9 +15,10 @@ open Rfkit_circuits
 let solve_mmft () =
   let p = Mixer.paper_params in
   let c = Mixer.build p in
-  Rf.Mmft.solve
-    ~options:{ Rf.Mmft.default_options with slow_harmonics = 3; steps2 = 50 }
-    c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo
+  Util.converged
+    (Rf.Mmft.solve_outcome
+       ~options:{ Rf.Mmft.default_options with slow_harmonics = 3; steps2 = 50 }
+       c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo)
 
 let report () =
   Util.section "EXP-F4 | Fig 4: switching mixer via MMFT";

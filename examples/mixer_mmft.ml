@@ -23,9 +23,13 @@ let () =
   (* --- MMFT ----------------------------------------------------------- *)
   let t0 = Unix.gettimeofday () in
   let res =
-    Rf.Mmft.solve
-      ~options:{ Rf.Mmft.default_options with slow_harmonics = 3; steps2 = 50 }
-      c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo
+    match
+      Rf.Mmft.solve_outcome
+        ~options:{ Rf.Mmft.default_options with slow_harmonics = 3; steps2 = 50 }
+        c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo
+    with
+    | Solve.Supervisor.Converged (res, _) -> res
+    | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
   in
   let t_mmft = Unix.gettimeofday () -. t0 in
   let h1 = Rf.Mmft.harmonic_magnitude res Mixer.output_node 1 in

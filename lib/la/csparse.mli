@@ -1,10 +1,13 @@
-(** Sparse complex matrices in CSR format — the complex twin of {!Sparse}.
+(** Sparse complex matrices in CSR format, the complex counterpart of
+    {!Sparse}.
 
     Frequency-domain systems [(G + j omega C)] are assembled from the real
     sparse stamps without densifying; {!Cop} combines them lazily and
-    {!Csparse_lu} factors the result directly. API parity with {!Sparse}:
-    {!of_triplets} sums duplicate coordinates, {!transpose} and {!matmat}
-    let operator lowering avoid any round-trip through {!Cmat}. *)
+    {!Csparse_lu} factors the result in place, reading its columns (and
+    any fill-reducing symmetric order) through an index map rather than a
+    permuted or transposed copy. {!of_triplets} sums duplicate coordinates
+    as {!Sparse.of_triplets} does, and {!matmat} lets operator lowering
+    avoid any round-trip through {!Cmat}. *)
 
 type t
 
@@ -33,18 +36,9 @@ val add : t -> t -> t
 val matvec : t -> Cvec.t -> Cvec.t
 val diagonal : t -> Cvec.t
 val to_dense : t -> Cmat.t
-val transpose : t -> t
 
 val matmat : t -> Cmat.t -> Cmat.t
 (** Sparse times dense, dense result. *)
 
 val iter : (int -> int -> Cx.t -> unit) -> t -> unit
 val memory_bytes : t -> int
-
-val permute_sym : int array -> t -> t
-(** [permute_sym p m] is [m[p,p]]: row and column [k] of the result are
-    row and column [p.(k)] of [m]. Applied by {!Csparse_lu} ahead of
-    factorization so fill-reducing orderings from lib/struct serve complex
-    systems too.
-    @raise Invalid_argument if [m] is not square or [p] is not a
-    permutation of its dimension. *)

@@ -1,5 +1,7 @@
 (** Complex sparse LU factorization (left-looking Gilbert-Peierls) with
-    partial pivoting — the complex twin of {!Sparse_lu}.
+    partial pivoting — the complex instance of {!Gp_lu}, sharing all
+    control (elimination, symbolic plan, refactoring, ordering wrap,
+    ledger) with {!Sparse_lu} and supplying only [Cx.t] column kernels.
 
     Frequency-domain systems [(G + j omega C)] assemble as {!Csparse} and
     factor here directly, ending the dense [Cop.to_dense] + {!Clu}
@@ -58,12 +60,13 @@ val refactor : symbolic -> Csparse.t -> t
     KLU-style fast path for same-pattern re-stamps.
     @raise Singular when a frozen pivot decayed below [1e-10] of its
     column magnitude (the caller should re-{!analyze}).
-    @raise Invalid_argument when the matrix shape/nnz does not match the
-    analyzed pattern. *)
+    @raise Invalid_argument when the matrix's sparsity pattern (shape,
+    row pointers or column indices) differs from the analyzed one. *)
 
 val factor_cached : ?perm:int array -> symbolic option ref -> Csparse.t -> t
 (** Factor through a caller-held symbolic cache: reuse the cached plan
-    when the pattern (and requested ordering) matches, transparently
+    when the sparsity pattern (compared index for index, not just by
+    nnz) and the requested ordering match, transparently
     falling back to a fresh {!analyze} (updating the cache) on a pattern
     change, ordering change or pivot decay. An HB solve holds one cache
     for all harmonic blocks across all Newton iterations; an AC sweep one

@@ -200,27 +200,6 @@ let of_diag d =
 
 let scaled_identity n a = of_diag (Array.make n a)
 
-let transpose m =
-  let row_ptr = Array.make (m.ncols + 1) 0 in
-  let n = nnz m in
-  Array.iter (fun j -> row_ptr.(j + 1) <- row_ptr.(j + 1) + 1) m.col_idx;
-  for j = 0 to m.ncols - 1 do
-    row_ptr.(j + 1) <- row_ptr.(j + 1) + row_ptr.(j)
-  done;
-  let col_idx = Array.make n 0 in
-  let values = Array.make n 0.0 in
-  let next = Array.copy row_ptr in
-  for i = 0 to m.nrows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      let j = m.col_idx.(k) in
-      let p = next.(j) in
-      col_idx.(p) <- i;
-      values.(p) <- m.values.(k);
-      next.(j) <- p + 1
-    done
-  done;
-  { nrows = m.ncols; ncols = m.nrows; row_ptr; col_idx; values }
-
 let matmat m d =
   if d.Mat.rows <> m.ncols then invalid_arg "Sparse.matmat: dims";
   let out = Mat.make m.nrows d.Mat.cols in
@@ -244,46 +223,3 @@ let iter f m =
   done
 
 let memory_bytes m = (8 * nnz m) + (8 * nnz m) + (8 * (m.nrows + 1))
-
-let permute_sym p m =
-  if m.nrows <> m.ncols then invalid_arg "Sparse.permute_sym: matrix not square";
-  let n = m.nrows in
-  if Array.length p <> n then invalid_arg "Sparse.permute_sym: permutation length";
-  let pinv = Array.make n (-1) in
-  Array.iteri
-    (fun k old ->
-      if old < 0 || old >= n || pinv.(old) >= 0 then
-        invalid_arg "Sparse.permute_sym: not a permutation";
-      pinv.(old) <- k)
-    p;
-  let row_ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    let old = p.(i) in
-    row_ptr.(i + 1) <- row_ptr.(i) + (m.row_ptr.(old + 1) - m.row_ptr.(old))
-  done;
-  let cnt = row_ptr.(n) in
-  let col_idx = Array.make cnt 0 in
-  let values = Array.make cnt 0.0 in
-  for i = 0 to n - 1 do
-    let old = m.row_ptr.(p.(i)) in
-    let len = row_ptr.(i + 1) - row_ptr.(i) in
-    let base = row_ptr.(i) in
-    for k = 0 to len - 1 do
-      col_idx.(base + k) <- pinv.(m.col_idx.(old + k));
-      values.(base + k) <- m.values.(old + k)
-    done;
-    (* restore sorted column order within the row (insertion sort: rows
-       are short and nearly sorted for bandish permutations) *)
-    for k = base + 1 to base + len - 1 do
-      let cj = col_idx.(k) and vj = values.(k) in
-      let q = ref k in
-      while !q > base && col_idx.(!q - 1) > cj do
-        col_idx.(!q) <- col_idx.(!q - 1);
-        values.(!q) <- values.(!q - 1);
-        decr q
-      done;
-      col_idx.(!q) <- cj;
-      values.(!q) <- vj
-    done
-  done;
-  { nrows = n; ncols = n; row_ptr; col_idx; values }

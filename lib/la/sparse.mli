@@ -50,8 +50,6 @@ val scaled_identity : int -> float -> t
 (** [scaled_identity n a] is [a * I_n]; combined with {!add} this covers
     gmin and shift stamping without touching the cached pattern. *)
 
-val transpose : t -> t
-
 val matmat : t -> Mat.t -> Mat.t
 (** Sparse-times-dense product, used for monodromy/sensitivity propagation
     where the right-hand side is a dense block of columns. *)
@@ -61,11 +59,3 @@ val iter : (int -> int -> float -> unit) -> t -> unit
 
 val memory_bytes : t -> int
 (** Approximate storage footprint (values + indices). *)
-
-val permute_sym : int array -> t -> t
-(** [permute_sym p a] is the symmetric permutation [A'] with
-    [A'.(i).(j) = A.(p.(i)).(p.(j))] — i.e. [P A P^T] where [P] maps
-    original index [p.(k)] to position [k]. Used to apply fill-reducing
-    orderings ahead of {!Sparse_lu}.
-    @raise Invalid_argument if [a] is not square or [p] is not a
-    permutation of its indices. *)

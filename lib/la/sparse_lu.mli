@@ -1,6 +1,11 @@
 (** Sparse LU factorization (left-looking Gilbert-Peierls) with partial
     pivoting, plus an ILU(0) incomplete factor for Krylov preconditioning.
 
+    The real instance of {!Gp_lu}: the elimination, symbolic plan,
+    refactoring, ordering wrap and ledger are shared with {!Csparse_lu};
+    this module supplies the float column kernels and the real-only
+    {!ilu0}.
+
     Partial pivoting matters for MNA systems: voltage-source and inductor
     branch rows carry a structurally zero diagonal, so any no-pivot scheme
     breaks down immediately. The exact factor mirrors dense {!Lu}'s
@@ -51,12 +56,13 @@ val refactor : symbolic -> Sparse.t -> t
     KLU-style fast path for Newton re-stamps of a fixed pattern.
     @raise Singular when a frozen pivot decayed below [1e-10] of its
     column magnitude (the caller should re-{!analyze}).
-    @raise Invalid_argument when the matrix shape/nnz does not match the
-    analyzed pattern. *)
+    @raise Invalid_argument when the matrix's sparsity pattern (shape,
+    row pointers or column indices) differs from the analyzed one. *)
 
 val factor_cached : ?perm:int array -> symbolic option ref -> Sparse.t -> t
 (** Factor through a caller-held symbolic cache: reuse the cached plan
-    when the pattern (and requested ordering) matches, transparently
+    when the sparsity pattern (compared index for index, not just by
+    nnz) and the requested ordering match, transparently
     falling back to a fresh {!analyze} (updating the cache) on a pattern
     change, ordering change or pivot decay. Newton loops hold one cache
     per linearization site; the fill-reducing order is thus computed into

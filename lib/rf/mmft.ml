@@ -233,11 +233,6 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
           Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats))
     ()
 
-let solve ?options c ~f1 ~f2 =
-  match solve_outcome ?options c ~f1 ~f2 with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
-
 (* Time-varying slow harmonic of a node: at fast offset tau,
    x(s_m + tau) = sum_j A_j(tau) e^{j j w1 s_m}; the coefficients come from
    the (generally non-uniform) interpolation solve E a = y. *)

@@ -61,9 +61,6 @@ val solve_outcome :
 (** Supervised solve: base attempt, then a fast-axis oversampling retry.
     Tone-spacing violations abort the ladder immediately. *)
 
-val solve : ?options:options -> Rfkit_circuit.Mna.t -> f1:float -> f2:float -> result
-(** Exception shim over {!solve_outcome}. *)
-
 val harmonic_waveform : result -> string -> int -> Rfkit_la.Cvec.t
 (** [harmonic_waveform res node j]: the time-varying slow harmonic
     [H_j(tau)] of a node voltage over one fast period ([steps2] samples).

@@ -274,11 +274,6 @@ let solve_outcome ?budget ?(options = default_options) ?x0 c ~freq =
           Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats))
     ()
 
-let solve ?options ?x0 c ~freq =
-  match solve_outcome ?options ?x0 c ~freq with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
-
 (* crude period estimate from mean crossings of the widest-swinging state *)
 let estimate_period times trace =
   let n = Array.length trace in

@@ -46,11 +46,6 @@ val solve_outcome :
 (** Supervised forced solve: base attempt, tightened Newton damping, then
     a longer transient warm-start before shooting. *)
 
-val solve :
-  ?options:options -> ?x0:Rfkit_la.Vec.t -> Rfkit_circuit.Mna.t -> freq:float -> result
-(** Forced circuit at known fundamental [freq]. Exception shim over
-    {!solve_outcome}. *)
-
 val solve_autonomous :
   ?options:options ->
   Rfkit_circuit.Mna.t ->

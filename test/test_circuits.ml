@@ -19,9 +19,10 @@ let test_mixer_fig4_numbers () =
   let p = Mixer.paper_params in
   let c = Mixer.build p in
   let res =
-    Mmft.solve
-      ~options:{ Mmft.default_options with slow_harmonics = 3; steps2 = 50 }
-      c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo
+    converged
+      (Mmft.solve_outcome
+         ~options:{ Mmft.default_options with slow_harmonics = 3; steps2 = 50 }
+         c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo)
   in
   let a1 = Mmft.mix_amplitude res Mixer.output_node ~slow:1 ~fast:1 in
   let a3 = Mmft.mix_amplitude res Mixer.output_node ~slow:3 ~fast:1 in
@@ -38,7 +39,7 @@ let test_mixer_scales () =
      the limiter, not by the tone placement *)
   let p = Mixer.scaled_params ~f_rf:10e3 ~f_lo:50e6 in
   let c = Mixer.build p in
-  let res = Mmft.solve c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo in
+  let res = converged (Mmft.solve_outcome c ~f1:p.Mixer.f_rf ~f2:p.Mixer.f_lo) in
   let a1 = Mmft.mix_amplitude res Mixer.output_node ~slow:1 ~fast:1 in
   let a3 = Mmft.mix_amplitude res Mixer.output_node ~slow:3 ~fast:1 in
   Alcotest.(check bool) "ratio preserved" true

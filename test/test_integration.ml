@@ -96,7 +96,7 @@ let test_engines_agree_on_mixer () =
     converged (Hb2.solve_outcome ~options:{ Hb2.default_options with n1 = 8; n2 = 8 } c ~f1 ~f2)
   in
   let a_hb2 = Hb2.mix_amplitude hb2 "mix" ~k1:1 ~k2:1 in
-  let mmft = Mmft.solve c ~f1 ~f2 in
+  let mmft = converged (Mmft.solve_outcome c ~f1 ~f2) in
   let a_mmft = Mmft.mix_amplitude mmft "mix" ~slow:1 ~fast:1 in
   let mfdtd =
     Mfdtd.solve ~options:{ Mfdtd.default_options with n1 = 8; n2 = 32 } c ~f1 ~f2

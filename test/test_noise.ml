@@ -66,7 +66,7 @@ let test_floquet_rejects_forced () =
   Netlist.resistor nl "R1" "in" "out" 1e3;
   Netlist.capacitor nl "C1" "out" "0" 1e-9;
   let c = Mna.build nl in
-  let orbit = Rfkit_rf.Shooting.solve c ~freq:1e6 in
+  let orbit = converged (Rfkit_rf.Shooting.solve_outcome c ~freq:1e6) in
   Alcotest.(check bool) "raises" true
     (try
        ignore (Floquet.compute orbit);

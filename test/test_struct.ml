@@ -90,22 +90,6 @@ let test_btf_blocks () =
   let info_s = Order.compute_info Order.Btf_amd s in
   Alcotest.(check (list int)) "no blocks when singular" [] info_s.Order.blocks
 
-let test_permute_sym () =
-  let a = Sp.of_triplets ~rows:3 ~cols:3
-      [ (0, 0, 1.0); (0, 2, 2.0); (1, 1, 3.0); (2, 0, 4.0); (2, 2, 5.0) ]
-  in
-  let p = [| 2; 0; 1 |] in
-  let b = Sp.to_dense (Sp.permute_sym p a) in
-  let da = Sp.to_dense a in
-  for i = 0 to 2 do
-    for j = 0 to 2 do
-      Alcotest.(check (float 0.0))
-        (Printf.sprintf "entry %d,%d" i j)
-        (Rfkit_la.Mat.get da p.(i) p.(j))
-        (Rfkit_la.Mat.get b i j)
-    done
-  done
-
 let test_lu_perm_agreement () =
   (* arrow matrix: worst case for natural order, best case reversed *)
   let n = 6 in
@@ -324,7 +308,6 @@ let suite =
     ( "struct.ordering",
       [
         tc "btf block detection" test_btf_blocks;
-        tc "permute_sym definition" test_permute_sym;
         tc "lu agrees across orderings" test_lu_perm_agreement;
         tc "factor_cached perm switch" test_factor_cached_perm_switch;
         tc "shipped decks agree across orderings"
