@@ -7,8 +7,8 @@ let system_op c x_op freq =
   let w = 2.0 *. Float.pi *. freq in
   Cop.add (Cop.of_real g) (Cop.scale (Cx.im w) (Cop.of_real cm))
 
-(* the same system lowered to CSR: [system_op] is Sum(Sparse, Scaled
-   Sparse), which always folds, so the Option.get cannot fail *)
+(* the same system as its CSR matrix: [system_op] adds two sparse
+   operators, which fold to a sparse one, so the Option.get cannot fail *)
 let system_sparse c x_op freq =
   Option.get (Cop.to_sparse_opt (system_op c x_op freq))
 

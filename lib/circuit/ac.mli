@@ -11,12 +11,11 @@ type result = {
 }
 
 val system_op : Mna.t -> Rfkit_la.Vec.t -> float -> Rfkit_la.Cop.t
-(** The linearized system [(G + j w C)] at the given operating point as a
-    lazy complex operator over the sparse stamps. The direct solves here
-    lower it to {!Rfkit_la.Csparse} and factor with
-    {!Rfkit_la.Csparse_lu} (one symbolic analysis per sweep, the
-    circuit's fill-reducing ordering applied); it can also be applied
-    matrix-free. *)
+(** The linearized system [(G + j w C)] at the given operating point,
+    folded from the sparse stamps into one {!Rfkit_la.Csparse} operator.
+    The direct solves here factor it with {!Rfkit_la.Csparse_lu} (one
+    symbolic analysis per sweep, the circuit's fill-reducing ordering
+    applied). *)
 
 val system_at : Mna.t -> Rfkit_la.Vec.t -> float -> Rfkit_la.Cmat.t
 (** Dense lowering of {!system_op} — kept for tests and small-system

@@ -209,6 +209,17 @@ let solve_outcome ?budget ?options ?x0 c =
 let solve_at_outcome ?budget ?options ?x0 c t =
   solve_b_outcome ?budget ?options ?x0 c (Mna.eval_b c t)
 
+let dc_point c =
+  match solve_outcome c with
+  | Supervisor.Converged (x, _) -> x
+  (* a typed interrupt/deadline abort must not degrade into a cold
+     zero start: re-raise so the supervisor records the cause *)
+  | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
+      raise Deadline.Interrupted
+  | Supervisor.Failed { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
+      raise (Deadline.Expired seconds)
+  | Supervisor.Failed _ -> Vec.create (Mna.size c)
+
 (* A-posteriori certification: re-derive the KCL residual from the result
    alone instead of trusting the Newton loop's own convergence flag. *)
 let certify ?(tol_scale = 1.0) c (x : Vec.t) =

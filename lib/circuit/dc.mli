@@ -45,6 +45,13 @@ val solve_at_outcome :
   Rfkit_la.Vec.t Rfkit_solve.Supervisor.outcome
 (** Like {!solve_outcome} with sources evaluated at time [t]. *)
 
+val dc_point : Mna.t -> Rfkit_la.Vec.t
+(** DC operating point as the seed of a steady-state or multi-time
+    engine: the zero vector when DC fails. A typed interrupt or deadline
+    abort is re-raised ({!Rfkit_solve.Deadline.Interrupted} /
+    {!Rfkit_solve.Deadline.Expired}) so the enclosing supervisor records
+    the cause instead of a cold start. *)
+
 val certify :
   ?tol_scale:float -> Mna.t -> Rfkit_la.Vec.t -> Rfkit_solve.Certify.certificate
 (** A-posteriori verification of a claimed operating point: finiteness

@@ -685,20 +685,9 @@ let jac_g_sparse c (x : Vec.t) =
   Sparse.of_csr ~rows:c.total ~cols:c.total ~row_ptr:pat.p_row_ptr
     ~col_idx:pat.p_col_idx ~values:vals
 
-let jac_g_op c x = Op.sparse (jac_g_sparse c x)
-let jac_c_op c x = Op.sparse (jac_c_sparse c x)
-
-let linear_gc c =
-  let origin = Vec.create c.total in
-  (jac_g c origin, jac_c c origin)
-
-let linear_gc_sparse c =
-  let origin = Vec.create c.total in
-  (jac_g_sparse c origin, jac_c_sparse c origin)
-
 let linear_gc_op c =
-  let g, cc = linear_gc_sparse c in
-  (Op.sparse g, Op.sparse cc)
+  let origin = Vec.create c.total in
+  (Op.sparse (jac_g_sparse c origin), Op.sparse (jac_c_sparse c origin))
 
 let is_linear c = Array.for_all Device.is_linear c.devs
 

@@ -38,7 +38,7 @@ val dc_b : t -> Rfkit_la.Vec.t
 val jac_c : t -> Rfkit_la.Vec.t -> Rfkit_la.Mat.t
 (** C(x) = dq/dx, dense. Kept as an independently-stamped shim so the
     sparse path can be cross-checked against it; new code should prefer
-    {!jac_c_sparse} / {!jac_c_op}. *)
+    {!jac_c_sparse}. *)
 
 val jac_g : t -> Rfkit_la.Vec.t -> Rfkit_la.Mat.t
 (** G(x) = df/dx, dense (shim, see {!jac_c}). *)
@@ -53,16 +53,9 @@ val jac_g_sparse : t -> Rfkit_la.Vec.t -> Rfkit_la.Sparse.t
     diagonal (explicit zeros where nothing stamps, e.g. voltage-source
     branch rows) so gmin/shift stamping and ILU(0) always find a slot. *)
 
-val jac_c_op : t -> Rfkit_la.Vec.t -> Rfkit_la.Op.t
-val jac_g_op : t -> Rfkit_la.Vec.t -> Rfkit_la.Op.t
-(** Operator-wrapped sparse Jacobians — what the engines' solvers consume. *)
-
-val linear_gc : t -> Rfkit_la.Mat.t * Rfkit_la.Mat.t
-(** (G, C) of the linear part (Jacobians at x = 0); exact when the circuit
-    contains only linear elements — the ROM entry point. Dense shim. *)
-
-val linear_gc_sparse : t -> Rfkit_la.Sparse.t * Rfkit_la.Sparse.t
 val linear_gc_op : t -> Rfkit_la.Op.t * Rfkit_la.Op.t
+(** Sparse (G, C) of the linear part (Jacobians at x = 0); exact when the
+    circuit contains only linear elements — the ROM entry point. *)
 
 val is_linear : t -> bool
 val fundamentals : t -> float list

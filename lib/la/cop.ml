@@ -1,155 +1,22 @@
-type closure = { c_rows : int; c_cols : int; apply : Cvec.t -> Cvec.t }
-
-type t =
-  | Dense of Cmat.t
-  | Sparse of Csparse.t
-  | Diag of Cvec.t
-  | Scaled of Cx.t * t
-  | Sum of t * t
-  | Product of t * t
-  | Closure of closure
-
-let rec rows = function
-  | Dense m -> m.Cmat.rows
-  | Sparse s -> Csparse.rows s
-  | Diag d -> Array.length d
-  | Scaled (_, t) -> rows t
-  | Sum (a, _) -> rows a
-  | Product (a, _) -> rows a
-  | Closure c -> c.c_rows
-
-let rec cols = function
-  | Dense m -> m.Cmat.cols
-  | Sparse s -> Csparse.cols s
-  | Diag d -> Array.length d
-  | Scaled (_, t) -> cols t
-  | Sum (a, _) -> cols a
-  | Product (_, b) -> cols b
-  | Closure c -> c.c_cols
+type t = Dense of Cmat.t | Sparse of Csparse.t
 
 let dense m = Dense m
-let sparse s = Sparse s
 let of_real s = Sparse (Csparse.of_real s)
-let diag d = Diag d
+let to_sparse_opt = function Sparse s -> Some s | Dense _ -> None
+let to_dense = function Dense m -> Cmat.copy m | Sparse s -> Csparse.to_dense s
 
 let scale a = function
-  | Scaled (b, t) -> Scaled (Cx.( *: ) a b, t)
-  | t -> Scaled (a, t)
+  | Dense m -> Dense (Cmat.scale a m)
+  | Sparse s -> Sparse (Csparse.scale a s)
 
 let add a b =
-  if rows a <> rows b || cols a <> cols b then invalid_arg "Cop.add: dims";
-  Sum (a, b)
+  match (a, b) with
+  | Sparse sa, Sparse sb -> Sparse (Csparse.add sa sb)
+  | _ -> Dense (Cmat.add (to_dense a) (to_dense b))
 
-let closure ~rows ~cols apply = Closure { c_rows = rows; c_cols = cols; apply }
+let matvec op x =
+  match op with Dense m -> Cmat.matvec m x | Sparse s -> Csparse.matvec s x
 
-let rec matvec op x =
-  match op with
-  | Dense m -> Cmat.matvec m x
-  | Sparse s -> Csparse.matvec s x
-  | Diag d ->
-      if Array.length x <> Array.length d then invalid_arg "Cop.matvec: dims";
-      Array.mapi (fun i di -> Cx.( *: ) di x.(i)) d
-  | Scaled (a, t) -> Array.map (fun v -> Cx.( *: ) a v) (matvec t x)
-  | Sum (a, b) ->
-      let ya = matvec a x and yb = matvec b x in
-      Array.mapi (fun i v -> Cx.( +: ) v yb.(i)) ya
-  | Product (a, b) -> matvec a (matvec b x)
-  | Closure c ->
-      if Array.length x <> c.c_cols then invalid_arg "Cop.matvec: dims";
-      c.apply x
-
-let rec to_sparse_opt = function
-  | Sparse s -> Some s
-  | Diag d ->
-      let n = Array.length d in
-      Some
-        (Csparse.of_triplets ~rows:n ~cols:n
-           (List.init n (fun i -> (i, i, d.(i)))))
-  | Scaled (a, t) -> Option.map (Csparse.scale a) (to_sparse_opt t)
-  | Sum (a, b) -> (
-      match (to_sparse_opt a, to_sparse_opt b) with
-      | Some sa, Some sb -> Some (Csparse.add sa sb)
-      | _ -> None)
-  | Dense _ | Product _ | Closure _ -> None
-
-let rec to_dense op =
-  match op with
-  | Dense m -> Cmat.copy m
-  | Sparse s -> Csparse.to_dense s
-  | Diag d ->
-      let n = Array.length d in
-      Cmat.init n n (fun i j -> if i = j then d.(i) else Cx.zero)
-  | Scaled (a, t) -> Cmat.scale a (to_dense t)
-  | Sum (a, b) -> Cmat.add (to_dense a) (to_dense b)
-  | Product (a, b) -> Cmat.mul (to_dense a) (to_dense b)
-  | Closure c ->
-      let m = Cmat.make c.c_rows c.c_cols in
-      for j = 0 to c.c_cols - 1 do
-        let e = Array.make c.c_cols Cx.zero in
-        e.(j) <- Cx.one;
-        let y = c.apply e in
-        for i = 0 to c.c_rows - 1 do
-          Cmat.set m i j y.(i)
-        done
-      done;
-      m
-
-let rec diagonal op =
-  match op with
-  | Dense m -> Array.init (min m.Cmat.rows m.Cmat.cols) (fun i -> Cmat.get m i i)
-  | Sparse s -> Csparse.diagonal s
-  | Diag d -> Array.copy d
-  | Scaled (a, t) -> Array.map (fun v -> Cx.( *: ) a v) (diagonal t)
-  | Sum (a, b) ->
-      let da = diagonal a and db = diagonal b in
-      Array.mapi (fun i v -> Cx.( +: ) v db.(i)) da
-  | Product _ | Closure _ ->
-      let m = to_dense op in
-      Array.init (min m.Cmat.rows m.Cmat.cols) (fun i -> Cmat.get m i i)
-
-let rec nnz = function
-  | Dense m -> m.Cmat.rows * m.Cmat.cols
-  | Sparse s -> Csparse.nnz s
-  | Diag d -> Array.length d
-  | Scaled (_, t) -> nnz t
-  | Sum (a, b) | Product (a, b) -> nnz a + nnz b
-  | Closure _ -> 0
-
-let rec memory_bytes = function
-  | Dense m -> 16 * m.Cmat.rows * m.Cmat.cols
-  | Sparse s -> Csparse.memory_bytes s
-  | Diag d -> 16 * Array.length d
-  | Scaled (_, t) -> memory_bytes t
-  | Sum (a, b) | Product (a, b) -> memory_bytes a + memory_bytes b
-  | Closure _ -> 0
-
-type factor = {
-  solve : Cvec.t -> Cvec.t;
-  solve_t : Cvec.t -> Cvec.t;
-  factor_nnz : int;
-}
-
-(* sparse-first lowering, exactly as [Op.factorize]: any operator tree
-   that folds to CSR goes through the complex Gilbert-Peierls factor; the
-   dense [Clu] path remains only for trees containing Dense/Product/
-   Closure leaves, which have no sparse lowering *)
-let factorize ?perm op =
-  if rows op <> cols op then invalid_arg "Cop.factorize: operator not square";
-  match to_sparse_opt op with
-  | Some s ->
-      let f = Csparse_lu.factor ?perm s in
-      {
-        solve = Csparse_lu.solve f;
-        solve_t = Csparse_lu.solve_transposed f;
-        factor_nnz = Csparse_lu.nnz f;
-      }
-  | None ->
-      let m = to_dense op in
-      let f = Clu.factor m in
-      (* [Clu] keeps no transpose solve; factor A^T on first demand *)
-      let ft = lazy (Clu.factor (Cmat.transpose m)) in
-      {
-        solve = Clu.solve f;
-        solve_t = (fun b -> Clu.solve (Lazy.force ft) b);
-        factor_nnz = m.Cmat.rows * m.Cmat.cols;
-      }
+let factorize = function
+  | Sparse s -> Csparse_lu.solve (Csparse_lu.factor s)
+  | Dense m -> Clu.solve (Clu.factor m)

@@ -1,56 +1,26 @@
 (** Complex linear operators — the frequency-domain twin of {!Op}.
 
-    AC and harmonic-balance systems [(G + j omega C)] are expressed as
-    [Sum (of_real g, Scaled (j omega, of_real c))] and either applied
-    matrix-free or lowered to {!Csparse}/{!Cmat} on demand. *)
+    AC analysis builds [(G + j omega C)] as
+    [add (of_real g) (scale (j omega) (of_real c))], which folds at once
+    to one {!Csparse} matrix; the descriptor transfer of a dense reduced
+    model stays {!Cmat}. *)
 
-type t =
-  | Dense of Cmat.t
-  | Sparse of Csparse.t
-  | Diag of Cvec.t
-  | Scaled of Cx.t * t
-  | Sum of t * t
-  | Product of t * t
-  | Closure of closure
+type t = Dense of Cmat.t | Sparse of Csparse.t
 
-and closure = { c_rows : int; c_cols : int; apply : Cvec.t -> Cvec.t }
-
-val rows : t -> int
-val cols : t -> int
 val dense : Cmat.t -> t
-val sparse : Csparse.t -> t
 val of_real : Sparse.t -> t
-val diag : Cvec.t -> t
 val scale : Cx.t -> t -> t
+
 val add : t -> t -> t
-val closure : rows:int -> cols:int -> (Cvec.t -> Cvec.t) -> t
+(** Sparse plus sparse merges the patterns ({!Csparse.add}); a sum with a
+    dense operand is dense. *)
+
 val matvec : t -> Cvec.t -> Cvec.t
+
 val to_sparse_opt : t -> Csparse.t option
-val to_dense : t -> Cmat.t
-val diagonal : t -> Cvec.t
+(** The CSR matrix of a [Sparse] operator; [None] for a dense one. *)
 
-val nnz : t -> int
-(** Structural nonzero count, same conventions as {!Op.nnz}: [Sum] and
-    [Product] report the sum of their children (the stamps held alive,
-    not the pattern of the lowered result), [Scaled] is transparent,
-    [Dense] counts every slot, [Closure] reports 0 (nothing stored). *)
-
-val memory_bytes : t -> int
-(** Resident bytes of the stamps backing the operator, same conventions
-    as {!Op.memory_bytes} with complex values at 16 bytes: [Sum]/[Product]
-    add children, [Scaled] is transparent, [Closure] is free. *)
-
-type factor = {
-  solve : Cvec.t -> Cvec.t;
-  solve_t : Cvec.t -> Cvec.t;  (** plain transpose, not conjugate *)
-  factor_nnz : int;
-}
-
-val factorize : ?perm:int array -> t -> factor
-(** One reusable direct factorization of a square operator, sparse-first:
-    {!Csparse_lu} when the tree lowers to CSR ({!to_sparse_opt}), dense
-    {!Clu} only as a last resort (trees with [Dense]/[Product]/[Closure]
-    leaves). [perm] is forwarded to the sparse factor as a fill-reducing
-    symmetric ordering and ignored on the dense fallback. [factor_nnz] is
-    nnz(L+U) for the sparse path, [n^2] for the dense one.
+val factorize : t -> Cvec.t -> Cvec.t
+(** [factorize a] factors a square operator once — {!Csparse_lu} for a
+    [Sparse] operator, {!Clu} for a [Dense] one — and returns its solve.
     @raise Csparse_lu.Singular (= {!Clu.Singular}) on breakdown. *)

@@ -1,64 +1,24 @@
-type t = {
-  nrows : int;
-  ncols : int;
-  row_ptr : int array;
-  col_idx : int array;
-  values : Cx.t array;
-}
+open Csr
+
+type t = Cx.t Csr.t
+
+(* New value arrays start as [unset], a record private to this module: a
+   slot reached once takes its operand itself (no allocation), a slot
+   reached again adds. *)
+let unset = Cx.make Float.nan Float.nan
+
+let accumulate values p v =
+  let u = values.(p) in
+  values.(p) <- (if u == unset then v else Cx.( +: ) u v)
 
 let of_triplets ~rows ~cols triplets =
   let arr = Array.of_list triplets in
-  Array.iter
-    (fun (i, j, _) ->
-      if i < 0 || i >= rows || j < 0 || j >= cols then
-        invalid_arg "Csparse.of_triplets: index out of range")
-    arr;
-  Array.sort
-    (fun (i1, j1, _) (i2, j2, _) -> if i1 <> i2 then compare i1 i2 else compare j1 j2)
-    arr;
-  let m = Array.length arr in
-  let distinct = ref 0 in
-  for k = 0 to m - 1 do
-    let i, j, _ = arr.(k) in
-    if k = 0 then incr distinct
-    else
-      let i', j', _ = arr.(k - 1) in
-      if i <> i' || j <> j' then incr distinct
-  done;
-  let n = !distinct in
-  let row_ptr = Array.make (rows + 1) 0 in
-  let col_idx = Array.make n 0 in
-  let values = Array.make n Cx.zero in
-  let pos = ref (-1) in
-  for k = 0 to m - 1 do
-    let i, j, v = arr.(k) in
-    let fresh =
-      k = 0
-      ||
-      let i', j', _ = arr.(k - 1) in
-      i <> i' || j <> j'
-    in
-    if fresh then begin
-      incr pos;
-      col_idx.(!pos) <- j;
-      values.(!pos) <- v;
-      row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-    end
-    else values.(!pos) <- Cx.( +: ) values.(!pos) v
-  done;
-  for i = 0 to rows - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
+  let row_ptr, col_idx, slot = sort_triplets "Csparse.of_triplets" ~rows ~cols arr in
+  let values = Array.make (Array.length col_idx) unset in
+  Array.iteri (fun k (_, _, v) -> accumulate values slot.(k) v) arr;
   { nrows = rows; ncols = cols; row_ptr; col_idx; values }
 
-let of_csr ~rows ~cols ~row_ptr ~col_idx ~values =
-  if Array.length row_ptr <> rows + 1 then invalid_arg "Csparse.of_csr: row_ptr length";
-  if Array.length col_idx <> Array.length values then
-    invalid_arg "Csparse.of_csr: col_idx/values length mismatch";
-  if row_ptr.(rows) <> Array.length values then
-    invalid_arg "Csparse.of_csr: row_ptr total";
-  { nrows = rows; ncols = cols; row_ptr; col_idx; values }
-
+let of_csr = Csr.of_csr "Csparse.of_csr"
 let csr m = (m.row_ptr, m.col_idx, m.values)
 
 let of_real s =
@@ -74,11 +34,6 @@ let of_real s =
 let rows m = m.nrows
 let cols m = m.ncols
 let nnz m = Array.length m.values
-
-let density m =
-  if m.nrows = 0 || m.ncols = 0 then 0.0
-  else float_of_int (nnz m) /. (float_of_int m.nrows *. float_of_int m.ncols)
-
 let scale a m = { m with values = Array.map (fun v -> Cx.( *: ) a v) m.values }
 
 let matvec m x =
@@ -90,14 +45,6 @@ let matvec m x =
       done;
       !s)
 
-let diagonal m =
-  Array.init (min m.nrows m.ncols) (fun i ->
-      let d = ref Cx.zero in
-      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-        if m.col_idx.(k) = i then d := m.values.(k)
-      done;
-      !d)
-
 let to_dense m =
   let d = Cmat.make m.nrows m.ncols in
   for i = 0 to m.nrows - 1 do
@@ -108,76 +55,13 @@ let to_dense m =
   d
 
 let add a b =
-  if a.nrows <> b.nrows || a.ncols <> b.ncols then invalid_arg "Csparse.add: dims";
-  let rows = a.nrows in
-  let row_ptr = Array.make (rows + 1) 0 in
-  for i = 0 to rows - 1 do
-    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
-    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
-    let c = ref 0 in
-    while !ka < ea || !kb < eb do
-      if !ka < ea && (!kb >= eb || a.col_idx.(!ka) <= b.col_idx.(!kb)) then begin
-        if !kb < eb && a.col_idx.(!ka) = b.col_idx.(!kb) then incr kb;
-        incr ka
-      end
-      else incr kb;
-      incr c
-    done;
-    row_ptr.(i + 1) <- !c
-  done;
-  for i = 0 to rows - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  let n = row_ptr.(rows) in
-  let col_idx = Array.make n 0 in
-  let values = Array.make n Cx.zero in
-  let pos = ref 0 in
-  for i = 0 to rows - 1 do
-    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
-    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
-    while !ka < ea || !kb < eb do
-      (if !ka < ea && (!kb >= eb || a.col_idx.(!ka) < b.col_idx.(!kb)) then begin
-         col_idx.(!pos) <- a.col_idx.(!ka);
-         values.(!pos) <- a.values.(!ka);
-         incr ka
-       end
-       else if !kb < eb && (!ka >= ea || b.col_idx.(!kb) < a.col_idx.(!ka)) then begin
-         col_idx.(!pos) <- b.col_idx.(!kb);
-         values.(!pos) <- b.values.(!kb);
-         incr kb
-       end
-       else begin
-         col_idx.(!pos) <- a.col_idx.(!ka);
-         values.(!pos) <- Cx.( +: ) a.values.(!ka) b.values.(!kb);
-         incr ka;
-         incr kb
-       end);
-      incr pos
+  let row_ptr, col_idx, slot_a, slot_b = merge "Csparse.add" a b in
+  let values = Array.make (Array.length col_idx) unset in
+  let scatter slot src =
+    for k = 0 to Array.length slot - 1 do
+      accumulate values slot.(k) src.(k)
     done
-  done;
-  { nrows = rows; ncols = a.ncols; row_ptr; col_idx; values }
-
-let matmat m d =
-  if d.Cmat.rows <> m.ncols then invalid_arg "Csparse.matmat: dims";
-  let out = Cmat.make m.nrows d.Cmat.cols in
-  let dc = d.Cmat.cols in
-  for i = 0 to m.nrows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      let v = m.values.(k) and j = m.col_idx.(k) in
-      let src = j * dc and dst = i * dc in
-      for c = 0 to dc - 1 do
-        out.Cmat.a.(dst + c) <-
-          Cx.( +: ) out.Cmat.a.(dst + c) (Cx.( *: ) v d.Cmat.a.(src + c))
-      done
-    done
-  done;
-  out
-
-let iter f m =
-  for i = 0 to m.nrows - 1 do
-    for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-      f i m.col_idx.(k) m.values.(k)
-    done
-  done
-
-let memory_bytes m = (16 * nnz m) + (8 * nnz m) + (8 * (m.nrows + 1))
+  in
+  scatter slot_a a.values;
+  scatter slot_b b.values;
+  { nrows = a.nrows; ncols = a.ncols; row_ptr; col_idx; values }

@@ -2,12 +2,12 @@
     {!Sparse}.
 
     Frequency-domain systems [(G + j omega C)] are assembled from the real
-    sparse stamps without densifying; {!Cop} combines them lazily and
-    {!Csparse_lu} factors the result in place, reading its columns (and
-    any fill-reducing symmetric order) through an index map rather than a
-    permuted or transposed copy. {!of_triplets} sums duplicate coordinates
-    as {!Sparse.of_triplets} does, and {!matmat} lets operator lowering
-    avoid any round-trip through {!Cmat}. *)
+    sparse stamps without densifying: {!of_real}, {!scale} and {!add}
+    fold them into one matrix, and {!Csparse_lu} factors it in place,
+    reading its columns (and any fill-reducing symmetric order) through
+    an index map rather than a permuted or transposed copy.
+    {!of_triplets} sums duplicate coordinates as {!Sparse.of_triplets}
+    does; both share their index work through {!Csr}. *)
 
 type t
 
@@ -30,15 +30,7 @@ val of_real : Sparse.t -> t
 val rows : t -> int
 val cols : t -> int
 val nnz : t -> int
-val density : t -> float
 val scale : Cx.t -> t -> t
 val add : t -> t -> t
 val matvec : t -> Cvec.t -> Cvec.t
-val diagonal : t -> Cvec.t
 val to_dense : t -> Cmat.t
-
-val matmat : t -> Cmat.t -> Cmat.t
-(** Sparse times dense, dense result. *)
-
-val iter : (int -> int -> Cx.t -> unit) -> t -> unit
-val memory_bytes : t -> int

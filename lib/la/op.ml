@@ -1,194 +1,30 @@
-type closure = {
-  c_rows : int;
-  c_cols : int;
-  apply : Vec.t -> Vec.t;
-  apply_t : (Vec.t -> Vec.t) option;
-}
-
-type t =
-  | Dense of Mat.t
-  | Sparse of Sparse.t
-  | Diag of Vec.t
-  | Scaled of float * t
-  | Sum of t * t
-  | Product of t * t
-  | Closure of closure
-
-let rec rows = function
-  | Dense m -> m.Mat.rows
-  | Sparse s -> Sparse.rows s
-  | Diag d -> Array.length d
-  | Scaled (_, t) -> rows t
-  | Sum (a, _) -> rows a
-  | Product (a, _) -> rows a
-  | Closure c -> c.c_rows
-
-let rec cols = function
-  | Dense m -> m.Mat.cols
-  | Sparse s -> Sparse.cols s
-  | Diag d -> Array.length d
-  | Scaled (_, t) -> cols t
-  | Sum (a, _) -> cols a
-  | Product (_, b) -> cols b
-  | Closure c -> c.c_cols
+type t = Dense of Mat.t | Sparse of Sparse.t
 
 let dense m = Dense m
 let sparse s = Sparse s
-let diag d = Diag d
+let to_dense = function Dense m -> Mat.copy m | Sparse s -> Sparse.to_dense s
 
 let scale a = function
-  | Scaled (b, t) -> Scaled (a *. b, t)
-  | t -> Scaled (a, t)
+  | Dense m -> Dense (Mat.scale a m)
+  | Sparse s -> Sparse (Sparse.scale a s)
 
 let add a b =
-  if rows a <> rows b || cols a <> cols b then invalid_arg "Op.add: dims";
-  Sum (a, b)
+  match (a, b) with
+  | Sparse sa, Sparse sb -> Sparse (Sparse.add sa sb)
+  | _ -> Dense (Mat.add (to_dense a) (to_dense b))
 
-let compose a b =
-  if cols a <> rows b then invalid_arg "Op.compose: dims";
-  Product (a, b)
+let matvec op x =
+  match op with Dense m -> Mat.matvec m x | Sparse s -> Sparse.matvec s x
 
-let closure ~rows ~cols ?apply_t apply =
-  Closure { c_rows = rows; c_cols = cols; apply; apply_t }
+let matvec_t op x =
+  match op with Dense m -> Mat.matvec_t m x | Sparse s -> Sparse.matvec_t s x
 
-let rec matvec op x =
-  match op with
-  | Dense m -> Mat.matvec m x
-  | Sparse s -> Sparse.matvec s x
-  | Diag d ->
-      if Array.length x <> Array.length d then invalid_arg "Op.matvec: dims";
-      Array.mapi (fun i di -> di *. x.(i)) d
-  | Scaled (a, t) -> Vec.scale a (matvec t x)
-  | Sum (a, b) -> Vec.add (matvec a x) (matvec b x)
-  | Product (a, b) -> matvec a (matvec b x)
-  | Closure c ->
-      if Array.length x <> c.c_cols then invalid_arg "Op.matvec: dims";
-      c.apply x
+type factor = { solve : Vec.t -> Vec.t; solve_t : Vec.t -> Vec.t }
 
-let rec matvec_t op x =
-  match op with
-  | Dense m -> Mat.matvec_t m x
-  | Sparse s -> Sparse.matvec_t s x
-  | Diag d ->
-      if Array.length x <> Array.length d then invalid_arg "Op.matvec_t: dims";
-      Array.mapi (fun i di -> di *. x.(i)) d
-  | Scaled (a, t) -> Vec.scale a (matvec_t t x)
-  | Sum (a, b) -> Vec.add (matvec_t a x) (matvec_t b x)
-  | Product (a, b) -> matvec_t b (matvec_t a x)
-  | Closure c -> (
-      match c.apply_t with
-      | Some f ->
-          if Array.length x <> c.c_rows then invalid_arg "Op.matvec_t: dims";
-          f x
-      | None -> invalid_arg "Op.matvec_t: closure has no transpose")
-
-(* Fold an operator expression down to one CSR matrix when every leaf is
-   representable sparsely. [None] means a dense or matrix-free leaf is
-   involved and the caller should take its fallback path. *)
-let rec to_sparse_opt = function
-  | Sparse s -> Some s
-  | Diag d -> Some (Sparse.of_diag d)
-  | Scaled (a, t) -> Option.map (Sparse.scale a) (to_sparse_opt t)
-  | Sum (a, b) -> (
-      match (to_sparse_opt a, to_sparse_opt b) with
-      | Some sa, Some sb -> Some (Sparse.add sa sb)
-      | _ -> None)
-  | Dense _ | Product _ | Closure _ -> None
-
-let rec to_dense op =
-  match op with
-  | Dense m -> Mat.copy m
-  | Sparse s -> Sparse.to_dense s
-  | Diag d ->
-      let n = Array.length d in
-      Mat.init n n (fun i j -> if i = j then d.(i) else 0.0)
-  | Scaled (a, t) -> Mat.scale a (to_dense t)
-  | Sum (a, b) -> Mat.add (to_dense a) (to_dense b)
-  | Product (a, b) -> Mat.mul (to_dense a) (to_dense b)
-  | Closure c ->
-      (* probe with unit vectors: the documented (expensive) fallback *)
-      let m = Mat.make c.c_rows c.c_cols in
-      for j = 0 to c.c_cols - 1 do
-        let e = Array.make c.c_cols 0.0 in
-        e.(j) <- 1.0;
-        Mat.set_col m j (c.apply e)
-      done;
-      m
-
-let rec diagonal op =
-  match op with
-  | Dense m -> Array.init (min m.Mat.rows m.Mat.cols) (fun i -> Mat.get m i i)
-  | Sparse s -> Sparse.diagonal s
-  | Diag d -> Array.copy d
-  | Scaled (a, t) -> Vec.scale a (diagonal t)
-  | Sum (a, b) -> Vec.add (diagonal a) (diagonal b)
-  | Product _ | Closure _ ->
-      let m = to_dense op in
-      Array.init (min m.Mat.rows m.Mat.cols) (fun i -> Mat.get m i i)
-
-let diagonal_blocks ~block op =
-  if block <= 0 then invalid_arg "Op.diagonal_blocks: block size";
-  let n = min (rows op) (cols op) in
-  let nb = (n + block - 1) / block in
-  let blocks =
-    Array.init nb (fun b ->
-        let size = min block (n - (b * block)) in
-        Mat.make size size)
-  in
-  let stash i j v =
-    let b = i / block in
-    if j / block = b then begin
-      let i0 = b * block in
-      Mat.update blocks.(b) (i - i0) (j - i0) (fun x -> x +. v)
-    end
-  in
-  (match to_sparse_opt op with
-  | Some s -> Sparse.iter stash s
-  | None ->
-      let m = to_dense op in
-      for i = 0 to n - 1 do
-        let b = i / block in
-        let i0 = b * block in
-        let hi = min (i0 + block) n in
-        for j = i0 to hi - 1 do
-          stash i j (Mat.get m i j)
-        done
-      done);
-  blocks
-
-let rec nnz = function
-  | Dense m -> m.Mat.rows * m.Mat.cols
-  | Sparse s -> Sparse.nnz s
-  | Diag d -> Array.length d
-  | Scaled (_, t) -> nnz t
-  | Sum (a, b) | Product (a, b) -> nnz a + nnz b
-  | Closure _ -> 0
-
-let rec memory_bytes = function
-  | Dense m -> 8 * m.Mat.rows * m.Mat.cols
-  | Sparse s -> Sparse.memory_bytes s
-  | Diag d -> 8 * Array.length d
-  | Scaled (_, t) -> memory_bytes t
-  | Sum (a, b) | Product (a, b) -> memory_bytes a + memory_bytes b
-  | Closure _ -> 0
-
-type factor = { solve : Vec.t -> Vec.t; solve_t : Vec.t -> Vec.t; factor_nnz : int }
-
-let factorize ?perm op =
-  if rows op <> cols op then invalid_arg "Op.factorize: operator not square";
-  match to_sparse_opt op with
-  | Some s ->
-      let f = Sparse_lu.factor ?perm s in
-      {
-        solve = Sparse_lu.solve f;
-        solve_t = Sparse_lu.solve_transposed f;
-        factor_nnz = Sparse_lu.nnz f;
-      }
-  | None ->
-      let m = to_dense op in
+let factorize = function
+  | Sparse s ->
+      let f = Sparse_lu.factor s in
+      { solve = Sparse_lu.solve f; solve_t = Sparse_lu.solve_transposed f }
+  | Dense m ->
       let f = Lu.factor m in
-      {
-        solve = Lu.solve f;
-        solve_t = Lu.solve_transposed f;
-        factor_nnz = m.Mat.rows * m.Mat.cols;
-      }
+      { solve = Lu.solve f; solve_t = Lu.solve_transposed f }

@@ -1,73 +1,28 @@
-(** Typed linear operators — the sparse-first core every engine solves
-    through.
+(** Real linear operators: one matrix, held dense or in CSR.
 
-    An operator is a small expression tree over concrete representations
-    (dense, CSR sparse, diagonal) and lazy combinators (scaling, sums,
-    products, matrix-free closures). Engines build Jacobians as operators,
-    Krylov solvers consume them through {!matvec}, and {!factorize} picks a
-    sparse direct factorization whenever the expression folds to CSR —
-    dense LU is the fallback, not the default. *)
+    The descriptor systems [(G + s C)] of reduced-order modelling are the
+    callers. {!add} and {!scale} fold eagerly, so an operator is always a
+    single concrete matrix and {!factorize} picks sparse or dense LU from
+    its constructor. *)
 
-type t =
-  | Dense of Mat.t
-  | Sparse of Sparse.t
-  | Diag of Vec.t
-  | Scaled of float * t
-  | Sum of t * t
-  | Product of t * t
-  | Closure of closure
-
-and closure = {
-  c_rows : int;
-  c_cols : int;
-  apply : Vec.t -> Vec.t;
-  apply_t : (Vec.t -> Vec.t) option;
-}
-
-val rows : t -> int
-val cols : t -> int
+type t = Dense of Mat.t | Sparse of Sparse.t
 
 val dense : Mat.t -> t
 val sparse : Sparse.t -> t
-val diag : Vec.t -> t
 val scale : float -> t -> t
-(** Collapses nested [Scaled] nodes. *)
 
 val add : t -> t -> t
-val compose : t -> t -> t
-(** [compose a b] is the operator [x -> a (b x)]. *)
-
-val closure : rows:int -> cols:int -> ?apply_t:(Vec.t -> Vec.t) -> (Vec.t -> Vec.t) -> t
+(** Sparse plus sparse merges the patterns ({!Sparse.add}); a sum with a
+    dense operand is dense. *)
 
 val matvec : t -> Vec.t -> Vec.t
 val matvec_t : t -> Vec.t -> Vec.t
-(** @raise Invalid_argument on a [Closure] built without [apply_t]. *)
-
-val to_sparse_opt : t -> Sparse.t option
-(** Fold the expression to a single CSR matrix when every leaf admits a
-    sparse representation ([Sparse], [Diag], and [Scaled]/[Sum] over
-    those); [None] if a dense, product, or matrix-free leaf blocks it. *)
 
 val to_dense : t -> Mat.t
-(** Always succeeds; [Closure] leaves are probed with unit vectors, which
-    costs [cols] applications — acceptable only as a fallback. *)
+(** A fresh dense copy. *)
 
-val diagonal : t -> Vec.t
-val diagonal_blocks : block:int -> t -> Mat.t array
-(** Square diagonal blocks of the given size (last block may be smaller),
-    for block-Jacobi preconditioners. Sparse-representable operators are
-    extracted without densifying. *)
+type factor = { solve : Vec.t -> Vec.t; solve_t : Vec.t -> Vec.t }
 
-val nnz : t -> int
-(** Stored entries across concrete leaves (a [Closure] counts 0). *)
-
-val memory_bytes : t -> int
-
-type factor = { solve : Vec.t -> Vec.t; solve_t : Vec.t -> Vec.t; factor_nnz : int }
-
-val factorize : ?perm:int array -> t -> factor
-(** Sparse LU when {!to_sparse_opt} succeeds, dense LU otherwise. [perm]
-    is a fill-reducing symmetric order forwarded to
-    {!Sparse_lu.factor}; it is ignored on the dense fallback (dense LU
-    has no fill to reduce).
+val factorize : t -> factor
+(** {!Sparse_lu} for a [Sparse] operator, {!Lu} for a [Dense] one.
     @raise Lu.Singular (equivalently {!Sparse_lu.Singular}) on breakdown. *)

@@ -1,65 +1,22 @@
-type t = {
-  nrows : int;
-  ncols : int;
-  row_ptr : int array; (* length nrows+1 *)
-  col_idx : int array;
-  values : float array;
-}
+open Csr
 
+type t = float Csr.t
+
+(* New value arrays start at negative zero, the identity of IEEE addition:
+   a slot reached once holds its operand bit for bit, a slot reached again
+   sums in order. *)
 let of_triplets ~rows ~cols triplets =
   let arr = Array.of_list triplets in
-  Array.iter
-    (fun (i, j, _) ->
-      if i < 0 || i >= rows || j < 0 || j >= cols then
-        invalid_arg "Sparse.of_triplets: index out of range")
+  let row_ptr, col_idx, slot = sort_triplets "Sparse.of_triplets" ~rows ~cols arr in
+  let values = Array.make (Array.length col_idx) (-0.0) in
+  Array.iteri
+    (fun k (_, _, v) ->
+      let p = slot.(k) in
+      values.(p) <- values.(p) +. v)
     arr;
-  Array.sort
-    (fun (i1, j1, _) (i2, j2, _) -> if i1 <> i2 then compare i1 i2 else compare j1 j2)
-    arr;
-  let m = Array.length arr in
-  (* pass 1: count distinct (i,j) runs *)
-  let distinct = ref 0 in
-  for k = 0 to m - 1 do
-    let i, j, _ = arr.(k) in
-    if k = 0 then incr distinct
-    else
-      let i', j', _ = arr.(k - 1) in
-      if i <> i' || j <> j' then incr distinct
-  done;
-  let n = !distinct in
-  let row_ptr = Array.make (rows + 1) 0 in
-  let col_idx = Array.make n 0 in
-  let values = Array.make n 0.0 in
-  (* pass 2: fill, summing duplicates in place *)
-  let pos = ref (-1) in
-  for k = 0 to m - 1 do
-    let i, j, v = arr.(k) in
-    let fresh =
-      k = 0
-      ||
-      let i', j', _ = arr.(k - 1) in
-      i <> i' || j <> j'
-    in
-    if fresh then begin
-      incr pos;
-      col_idx.(!pos) <- j;
-      values.(!pos) <- v;
-      row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-    end
-    else values.(!pos) <- values.(!pos) +. v
-  done;
-  for i = 0 to rows - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
   { nrows = rows; ncols = cols; row_ptr; col_idx; values }
 
-let of_csr ~rows ~cols ~row_ptr ~col_idx ~values =
-  if Array.length row_ptr <> rows + 1 then invalid_arg "Sparse.of_csr: row_ptr length";
-  if Array.length col_idx <> Array.length values then
-    invalid_arg "Sparse.of_csr: col_idx/values length mismatch";
-  if row_ptr.(rows) <> Array.length values then invalid_arg "Sparse.of_csr: row_ptr total";
-  { nrows = rows; ncols = cols; row_ptr; col_idx; values }
-
+let of_csr = Csr.of_csr "Sparse.of_csr"
 let csr m = (m.row_ptr, m.col_idx, m.values)
 let rows m = m.nrows
 let cols m = m.ncols
@@ -89,14 +46,6 @@ let matvec_t m x =
       done
   done;
   y
-
-let diagonal m =
-  Array.init (min m.nrows m.ncols) (fun i ->
-      let d = ref 0.0 in
-      for k = m.row_ptr.(i) to m.row_ptr.(i + 1) - 1 do
-        if m.col_idx.(k) = i then d := m.values.(k)
-      done;
-      !d)
 
 let to_dense m =
   let d = Mat.make m.nrows m.ncols in
@@ -138,55 +87,17 @@ let of_dense ?(drop_tol = 0.0) d =
 let scale a m = { m with values = Array.map (fun v -> a *. v) m.values }
 
 let add a b =
-  if a.nrows <> b.nrows || a.ncols <> b.ncols then invalid_arg "Sparse.add: dims";
-  let rows = a.nrows in
-  let row_ptr = Array.make (rows + 1) 0 in
-  (* pass 1: count merged entries per row (both inputs have sorted columns) *)
-  for i = 0 to rows - 1 do
-    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
-    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
-    let c = ref 0 in
-    while !ka < ea || !kb < eb do
-      if !ka < ea && (!kb >= eb || a.col_idx.(!ka) <= b.col_idx.(!kb)) then begin
-        if !kb < eb && a.col_idx.(!ka) = b.col_idx.(!kb) then incr kb;
-        incr ka
-      end
-      else incr kb;
-      incr c
-    done;
-    row_ptr.(i + 1) <- !c
-  done;
-  for i = 0 to rows - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  let n = row_ptr.(rows) in
-  let col_idx = Array.make n 0 in
-  let values = Array.make n 0.0 in
-  let pos = ref 0 in
-  for i = 0 to rows - 1 do
-    let ka = ref a.row_ptr.(i) and kb = ref b.row_ptr.(i) in
-    let ea = a.row_ptr.(i + 1) and eb = b.row_ptr.(i + 1) in
-    while !ka < ea || !kb < eb do
-      (if !ka < ea && (!kb >= eb || a.col_idx.(!ka) < b.col_idx.(!kb)) then begin
-         col_idx.(!pos) <- a.col_idx.(!ka);
-         values.(!pos) <- a.values.(!ka);
-         incr ka
-       end
-       else if !kb < eb && (!ka >= ea || b.col_idx.(!kb) < a.col_idx.(!ka)) then begin
-         col_idx.(!pos) <- b.col_idx.(!kb);
-         values.(!pos) <- b.values.(!kb);
-         incr kb
-       end
-       else begin
-         col_idx.(!pos) <- a.col_idx.(!ka);
-         values.(!pos) <- a.values.(!ka) +. b.values.(!kb);
-         incr ka;
-         incr kb
-       end);
-      incr pos
+  let row_ptr, col_idx, slot_a, slot_b = merge "Sparse.add" a b in
+  let values = Array.make (Array.length col_idx) (-0.0) in
+  let scatter slot (src : float array) =
+    for k = 0 to Array.length slot - 1 do
+      let p = slot.(k) in
+      values.(p) <- values.(p) +. src.(k)
     done
-  done;
-  { nrows = rows; ncols = a.ncols; row_ptr; col_idx; values }
+  in
+  scatter slot_a a.values;
+  scatter slot_b b.values;
+  { nrows = a.nrows; ncols = a.ncols; row_ptr; col_idx; values }
 
 let of_diag d =
   let n = Array.length d in

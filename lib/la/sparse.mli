@@ -2,13 +2,15 @@
 
     Built from coordinate (COO) triplets; duplicate entries are summed,
     which matches finite-difference and MNA stamping. Column indices within
-    each row are kept sorted, which the merge-based operations rely on. *)
+    each row are kept sorted, which the merge-based operations rely on.
+    The index work of {!of_triplets} and {!add} is {!Csr}'s, shared with
+    {!Csparse}. *)
 
 type t
 
 val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
-(** Array two-pass build: sort once, count distinct slots, fill; duplicate
-    [(i, j)] entries are summed in place. *)
+(** Sort once, then fill; duplicate [(i, j)] entries are summed in sorted
+    order. *)
 
 val of_csr :
   rows:int ->
@@ -34,7 +36,6 @@ val density : t -> float
 
 val matvec : t -> Vec.t -> Vec.t
 val matvec_t : t -> Vec.t -> Vec.t
-val diagonal : t -> Vec.t
 val to_dense : t -> Mat.t
 
 val of_dense : ?drop_tol:float -> Mat.t -> t

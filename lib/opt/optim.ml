@@ -98,18 +98,18 @@ let nelder_mead ?(options = default_options) ?(stop_when = fun _ -> false)
   let eval = make_eval ~options ~stop_when ~f t in
   let width i = hi.(i) -. lo.(i) in
   try
-    (* initial simplex: x0 plus one axis step per dimension, stepping
-       away from the nearer box wall so clipping cannot collapse it *)
-    let x0 = clip ~lo ~hi x0 in
-    let vertex i =
-      let x = Array.copy x0 in
+    (* a simplex around [x]: one axis step per dimension, stepping away
+       from the nearer box wall so clipping cannot collapse it *)
+    let vertex x i =
+      let x = Array.copy x in
       let s = options.init_step *. width i in
       x.(i) <- (if x.(i) +. s <= hi.(i) then x.(i) +. s else x.(i) -. s);
       x
     in
+    let x0 = clip ~lo ~hi x0 in
     let simplex =
       Array.init (n + 1) (fun k ->
-          let x = if k = 0 then x0 else vertex (k - 1) in
+          let x = if k = 0 then x0 else vertex x0 (k - 1) in
           (eval x, x))
     in
     let order () =
@@ -188,7 +188,39 @@ let nelder_mead ?(options = default_options) ?(stop_when = fun _ -> false)
       end;
       iterate ()
     in
-    iterate ()
+    (* clipped reflections can flatten the simplex against a box wall,
+       where it settles short of the minimum; so before convergence is
+       declared, the best vertex is polled one step (the simplex diameter,
+       at least tol_x) either way along each axis, and the first
+       improvement restarts a full-size simplex there *)
+    let restarted () =
+      let f_best, x_best = simplex.(0) in
+      let h = Float.max (diameter ()) options.tol_x in
+      let rec poll i dir =
+        if i = n then false
+        else begin
+          let next () = if dir > 0.0 then poll i (-1.0) else poll (i + 1) 1.0 in
+          let x = Array.copy x_best in
+          x.(i) <- x.(i) +. (dir *. h *. width i);
+          let x = clip ~lo ~hi x in
+          if x.(i) = x_best.(i) then next ()
+          else
+            let fx = eval x in
+            if fx >= f_best then next ()
+            else begin
+              simplex.(0) <- (fx, x);
+              for k = 1 to n do
+                let v = vertex x (k - 1) in
+                simplex.(k) <- (eval v, v)
+              done;
+              true
+            end
+        end
+      in
+      poll 0 1.0
+    in
+    let rec run () = try iterate () with Settled Converged when restarted () -> run () in
+    run ()
   with
   | Settled reason -> finish t reason
   | Budget -> finish t Budget_exhausted

@@ -24,22 +24,10 @@ let with_slice i t f =
 
 let run_core ~options c ~f1 ~f2 ~t1_stop =
   let { steps2; n1 } = options in
-  let n = Mna.size c in
   let period2 = 1.0 /. f2 in
   let h1 = t1_stop /. float_of_int n1 in
   let t1s = Vec.init (n1 + 1) (fun i -> float_of_int i *. h1) in
-  let xdc =
-    match Dc.solve_outcome c with
-    | Supervisor.Converged (x, _) -> x
-    (* a typed interrupt/deadline abort must not degrade into a cold
-       zero start: re-raise so the supervisor records the cause *)
-    | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-        raise Deadline.Interrupted
-    | Supervisor.Failed
-        { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-        raise (Deadline.Expired seconds)
-    | Supervisor.Failed _ -> Vec.create n
-  in
+  let xdc = Dc.dc_point c in
   let b_of t1 tau = Mpde.eval_b2 c ~f1 ~f2 t1 tau in
   (* slice 0: fast-periodic steady state with slow sources frozen at 0 *)
   let slice0 =

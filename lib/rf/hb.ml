@@ -48,7 +48,7 @@ let residual_norm c ~freq (x : Mat.t) =
    point (a typed interrupt or deadline still propagates) *)
 let warm_start c ~freq ~ns ~periods =
   let period = 1.0 /. freq in
-  let x_dc = Hbn.dc_point c in
+  let x_dc = Dc.dc_point c in
   let res =
     try
       Tran.run ~method_:Tran.Backward_euler ~x0:x_dc c

@@ -267,17 +267,6 @@ let make_preconditioner ?perm ~cache g ~n ~cs ~gs =
 let default_damping = 5.0
 let ladder = [ Supervisor.Base; Supervisor.Tighten_damping (default_damping /. 4.0) ]
 
-let dc_point c =
-  match Dc.solve_outcome c with
-  | Supervisor.Converged (x, _) -> x
-  (* a typed interrupt/deadline abort must not degrade into a cold
-     zero start: re-raise so the supervisor records the cause *)
-  | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-      raise Deadline.Interrupted
-  | Supervisor.Failed { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-      raise (Deadline.Expired seconds)
-  | Supervisor.Failed _ -> Vec.create (Mna.size c)
-
 let newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g ~b x =
   let n = Mna.size c in
   (* one symbolic plan for every preconditioner block of every Newton
@@ -374,7 +363,7 @@ let attempt ~engine ~solver ~precondition ~damping ~iter_cap (options, seed) c ~
           match seed with
           | Some s -> Vec.copy s
           | None ->
-              let xdc = dc_point c in
+              let xdc = Dc.dc_point c in
               let n = Mna.size c in
               Vec.init (g.tot * n) (fun i -> xdc.(i mod n))
         in

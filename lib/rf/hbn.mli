@@ -84,16 +84,11 @@ val run :
     ({!Rfkit_circuit.Mna.structural_rank_gc}) refuses a structurally
     singular circuit with zero attempts; then the supervisor runs
     [ladder] under [engine]'s name, and [plan] maps each rung to its grid
-    options and initial grid ([None] seeds every point with {!dc_point}).
+    options and initial grid ([None] seeds every point with
+    {!Rfkit_circuit.Dc.dc_point}).
     A [Tighten_damping d] rung caps the Newton step at [d], every other
     rung at {!default_damping}. [solver] defaults to [Matrix_free_gmres];
     [precondition:false] (ablation studies only) runs GMRES bare. *)
-
-val dc_point : Rfkit_circuit.Mna.t -> Rfkit_la.Vec.t
-(** DC operating point used as a seed; the zero vector when DC fails. A
-    typed interrupt or deadline abort is re-raised
-    ({!Rfkit_solve.Deadline.Interrupted} / {!Rfkit_solve.Deadline.Expired})
-    so the supervisor records it instead of starting cold. *)
 
 val residual_norm :
   Rfkit_circuit.Mna.t -> tones:float array -> dims:int array -> Rfkit_la.Vec.t -> float

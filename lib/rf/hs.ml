@@ -27,24 +27,12 @@ let with_slice i f =
 
 let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let { n1; steps2; max_sweeps; tol } = options in
-  let n = Mna.size c in
   let period1 = 1.0 /. f1 and period2 = 1.0 /. f2 in
   let h1 = period1 /. float_of_int n1 in
   let t1s = Array.init n1 (fun i -> float_of_int i *. h1) in
   (* initial slices: uncoupled periodic solves with the slow excitation
      frozen per slice (quasi-static start) *)
-  let xdc =
-    match Dc.solve_outcome c with
-    | Supervisor.Converged (x, _) -> x
-    (* a typed interrupt/deadline abort must not degrade into a cold
-       zero start: re-raise so the supervisor records the cause *)
-    | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-        raise Deadline.Interrupted
-    | Supervisor.Failed
-        { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-        raise (Deadline.Expired seconds)
-    | Supervisor.Failed _ -> Vec.create n
-  in
+  let xdc = Dc.dc_point c in
   let b_of i tau = Mpde.eval_b2 c ~f1 ~f2 t1s.(i) tau in
   let slices =
     Array.init n1 (fun i ->

@@ -172,7 +172,7 @@ let noise_figure c ~source_resistor ~node ~freq =
   let total = (Ac.output_noise c ~node ~freqs).(0) in
   (* the source resistor's own contribution through the same network *)
   let sources = Mna.noise_sources c in
-  let x_op = try Dc.solve c with Dc.No_convergence _ -> Vec.create (Mna.size c) in
+  let x_op = Dc.dc_point c in
   let from_source =
     Array.fold_left
       (fun acc (src : Device.noise_source) ->

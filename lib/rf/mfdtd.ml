@@ -96,18 +96,7 @@ let solve_core ~options ~damping ~iter_cap c ~f1 ~f2 =
   let t1s = Array.init n1 (fun i -> float_of_int i *. h1) in
   let t2s = Array.init n2 (fun i -> float_of_int i *. h2) in
   (* initial guess: DC everywhere *)
-  let xdc =
-    match Dc.solve_outcome c with
-    | Supervisor.Converged (x, _) -> x
-    (* a typed interrupt/deadline abort must not degrade into a cold
-       zero start: re-raise so the supervisor records the cause *)
-    | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-        raise Deadline.Interrupted
-    | Supervisor.Failed
-        { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-        raise (Deadline.Expired seconds)
-    | Supervisor.Failed _ -> Vec.create n
-  in
+  let xdc = Dc.dc_point c in
   let x = Vec.create (n1 * n2 * n) in
   for i1 = 0 to n1 - 1 do
     for i2 = 0 to n2 - 1 do

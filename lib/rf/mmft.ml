@@ -115,15 +115,16 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let total_steps = ref 0 in
   (* initial guess: each phase from an uncoupled fast-periodic solve with
      sources at absolute time s_m + tau *)
+  let xdc = Dc.dc_point c in
   let y =
     Array.init m_count (fun m ->
         let b tau = Mna.eval_b c (s.(m) +. tau) in
-        let xdc = try Dc.solve c with Dc.No_convergence _ -> Vec.create n in
         try
           let traj = Slice.solve_periodic c ~b ~period2 ~steps:steps2 ~y0:xdc in
           total_steps := !total_steps + (steps2 * 8);
           Mat.row traj 0
-        with Slice.No_convergence _ -> xdc)
+        (* Newton updates every phase in place: no two may share xdc *)
+        with Slice.No_convergence _ -> Vec.copy xdc)
   in
   let dim = m_count * n in
   let iters = ref 0 in

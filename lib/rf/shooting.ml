@@ -198,22 +198,7 @@ let solve_core ~options ~damping ~iter_cap ?x0 c ~freq =
     match x0 with
     | Some v -> Vec.copy v
     | None ->
-        let start =
-          match Dc.solve_outcome c with
-          | Supervisor.Converged (x, _) -> x
-          (* a typed interrupt/deadline abort must not degrade into a
-             cold zero start: re-raise for the supervisor *)
-          | Supervisor.Failed
-              { Supervisor.cause = Supervisor.Interrupted; _ } ->
-              raise Deadline.Interrupted
-          | Supervisor.Failed
-              {
-                Supervisor.cause = Supervisor.Deadline_exceeded { seconds };
-                _;
-              } ->
-              raise (Deadline.Expired seconds)
-          | Supervisor.Failed _ -> Vec.create n
-        in
+        let start = Dc.dc_point c in
         if options.warm_periods = 0 then start
         else begin
           let traj = ref start in
@@ -299,7 +284,7 @@ let solve_autonomous ?(options = default_options) c ~freq_guess ~kick =
   let period_guess = 1.0 /. freq_guess in
   let m = options.steps_per_period in
   (* warm up: kicked DC state integrated over many guess periods *)
-  let xdc = try Dc.solve c with Dc.No_convergence _ -> Vec.create n in
+  let xdc = Dc.dc_point c in
   let x = Vec.copy xdc in
   kick x;
   let warm = max 8 options.warm_periods in

@@ -16,22 +16,19 @@ let of_circuit circuit ~input ~output =
 
 let size d = Array.length d.b
 
-(* lift a real operator into the complex tree leaf-for-leaf: CSR stamps
-   stay sparse, so [Cop.factorize] densifies only for Closure-backed
-   descriptors (none of the shipped builders produce those) *)
-let lower_complex op =
-  match Op.to_sparse_opt op with
-  | Some sp -> Cop.of_real sp
-  | None -> Cop.dense (Cmat.of_real (Op.to_dense op))
+(* lift a real operator into the complex field constructor-for-constructor:
+   CSR stamps stay sparse, a reduced model's dense matrices stay dense *)
+let lower_complex = function
+  | Op.Sparse sp -> Cop.of_real sp
+  | Op.Dense m -> Cop.dense (Cmat.of_real m)
 
 let transfer d s =
   let a = Cop.add (lower_complex d.g) (Cop.scale s (lower_complex d.c)) in
-  let f = Cop.factorize a in
-  let x = f.Cop.solve (Cvec.of_real d.b) in
+  let x = Cop.factorize a (Cvec.of_real d.b) in
   Cvec.dot_u (Cvec.of_real d.l) x
 
-(* factor (G + s0 C) once — sparse LU when the operators lower to CSR,
-   dense LU otherwise; A v = -(G + s0 C)^-1 C v *)
+(* factor (G + s0 C) once — sparse LU for CSR operators, dense LU for a
+   reduced model's dense ones; A v = -(G + s0 C)^-1 C v *)
 let expansion_ops d ~s0 =
   let f = Op.factorize (Op.add d.g (Op.scale s0 d.c)) in
   let matvec v = Vec.neg (f.Op.solve (Op.matvec d.c v)) in

@@ -21,9 +21,9 @@ val size : t -> int
 
 val transfer : t -> Rfkit_la.Cx.t -> Rfkit_la.Cx.t
 (** Exact [H(s) = l^T (G + s C)^{-1} b] — the reference the ROMs are
-    judged against. Solved sparse-first through {!Rfkit_la.Cop.factorize}
-    (complex Gilbert-Peierls LU when [g]/[c] lower to CSR, dense only for
-    Closure-backed operators). *)
+    judged against. Solved through {!Rfkit_la.Cop.factorize}: complex
+    Gilbert-Peierls LU when [g]/[c] are CSR, dense LU when they are the
+    dense matrices of a reduced model. *)
 
 val expansion_ops :
   t ->
@@ -33,7 +33,7 @@ val expansion_ops :
   * Rfkit_la.Vec.t
 (** [(A, A^T, r)] closures of the expansion at [s0]: [A = -(G+s0 C)^{-1} C]
     applied through one reusable factorization ({!Rfkit_la.Op.factorize}:
-    sparse LU when both operators lower to CSR, dense LU otherwise), and
+    sparse LU when both operators are CSR, dense LU otherwise), and
     [r = (G+s0 C)^{-1} b]. The Krylov ROMs build on these. *)
 
 val moments : t -> s0:float -> k:int -> float array

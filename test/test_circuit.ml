@@ -57,6 +57,19 @@ let test_dc_branch_current () =
       (* current through source = -10/(4k) flowing out of + terminal *)
       check_float ~eps:1e-12 "source current" (-.(10.0 /. 4e3)) x.(bi)
 
+(* the engines' DC seed falls back to zeros on a failed DC, but a pending
+   interrupt must reach the enclosing supervisor instead *)
+let test_dc_point_interrupt () =
+  let c = Mna.build (divider ()) in
+  check_float "seed is the operating point" 7.5 (Dc.dc_point c).(Mna.node c "out");
+  let module D = Rfkit_solve.Deadline in
+  D.request_interrupt ();
+  let raised =
+    Fun.protect ~finally:D.clear_interrupt (fun () ->
+        match Dc.dc_point c with _ -> false | exception D.Interrupted -> true)
+  in
+  Alcotest.(check bool) "pending interrupt re-raised, not zeros" true raised
+
 let test_dc_diode_clamp () =
   (* V -> R -> diode to ground: diode drop should be near 0.6-0.8 V *)
   let nl = Netlist.create () in
@@ -493,6 +506,7 @@ let suite =
         tc "diode clamp" test_dc_diode_clamp;
         tc "mosfet saturation" test_dc_mosfet_saturation;
         tc "vccs" test_dc_vccs;
+        tc "dc_point re-raises an interrupt" test_dc_point_interrupt;
       ] );
     ( "circuit.tran",
       [

@@ -87,43 +87,43 @@ let qcheck_add =
         (Sparse.to_dense (Sparse.add (Sparse.of_dense a) (Sparse.of_dense b)))
         (Mat.add a b))
 
-(* one operator expression exercising every constructor *)
-let op_of_dense m =
-  let n = m.Mat.rows and cols = m.Mat.cols in
-  let s = Sparse.of_dense m in
-  let d = Vec.init n (fun i -> 0.5 +. float_of_int i) in
-  Op.add
-    (Op.scale 2.0 (Op.sparse s))
-    (Op.add
-       (Op.compose (Op.diag d) (Op.dense m))
-       (Op.closure ~rows:n ~cols
-          ~apply_t:(fun v -> Sparse.matvec_t s v)
-          (fun v -> Sparse.matvec s v)))
+(* both constructors and both folds: sparse plus sparse stays CSR, a dense
+   operand makes the sum dense; each paired with the matrix it must equal *)
+let ops_of_dense m =
+  let s = Op.sparse (Sparse.of_dense m) in
+  let sp = Op.add (Op.scale 2.0 s) s in
+  [ (sp, Mat.scale 3.0 m); (Op.add sp (Op.scale 0.5 (Op.dense m)), Mat.scale 3.5 m) ]
 
 let qcheck_op_matvec =
   QCheck.Test.make
     ~name:"op: matvec of every constructor agrees with to_dense" ~count:100
     arb_dense (fun m ->
-      let op = op_of_dense m in
-      let dense = Op.to_dense op in
       let v = Vec.init m.Mat.cols (fun i -> cos (float_of_int i)) in
-      vec_close ~tol:1e-9 (Op.matvec op v) (Mat.matvec dense v))
+      List.for_all
+        (fun (op, want) ->
+          mat_close ~tol:1e-9 (Op.to_dense op) want
+          && vec_close ~tol:1e-9 (Op.matvec op v) (Mat.matvec want v))
+        (ops_of_dense m))
 
 let qcheck_op_matvec_t =
   QCheck.Test.make ~name:"op: matvec_t agrees with dense transpose matvec"
     ~count:100 arb_dense (fun m ->
-      let op = op_of_dense m in
-      let dense = Op.to_dense op in
       let v = Vec.init m.Mat.rows (fun i -> sin (float_of_int (i + 2))) in
-      vec_close ~tol:1e-9 (Op.matvec_t op v) (Mat.matvec_t dense v))
+      List.for_all
+        (fun (op, _) ->
+          vec_close ~tol:1e-9 (Op.matvec_t op v) (Mat.matvec_t (Op.to_dense op) v))
+        (ops_of_dense m))
 
 let qcheck_op_diagonal =
   QCheck.Test.make ~name:"op: diagonal matches dense diagonal" ~count:100
     arb_square (fun m ->
-      let op = Op.add (Op.scale 3.0 (Op.sparse (Sparse.of_dense m))) (Op.dense m) in
+      let s = Op.sparse (Sparse.of_dense m) in
+      let op = Op.add (Op.scale 3.0 s) (Op.dense m) in
       let dense = Op.to_dense op in
-      vec_close ~tol:1e-9 (Op.diagonal op)
-        (Vec.init m.Mat.rows (fun i -> Mat.get dense i i)))
+      (match (Op.add s s, op) with Op.Sparse _, Op.Dense _ -> true | _ -> false)
+      && vec_close ~tol:1e-9
+           (Vec.init m.Mat.rows (fun i -> Mat.get dense i i))
+           (Vec.init m.Mat.rows (fun i -> 4.0 *. Mat.get m i i)))
 
 let qcheck_sparse_lu =
   QCheck.Test.make ~name:"sparse_lu: matches dense LU on random systems"
@@ -163,7 +163,9 @@ let qcheck_op_factorize =
     ~count:60 arb_deck (fun c ->
       let x = random_x c in
       let op =
-        Op.add (Mna.jac_g_op c x) (Op.scale 7.0 (Mna.jac_c_op c x))
+        Op.add
+          (Op.sparse (Mna.jac_g_sparse c x))
+          (Op.scale 7.0 (Op.sparse (Mna.jac_c_sparse c x)))
       in
       let b = Vec.init (Mna.size c) (fun i -> sin (float_of_int i)) in
       match Op.factorize op with
@@ -640,6 +642,155 @@ let test_cross_field_bitwise () =
         (Csparse_lu.factor_cached ?perm cc ca'))
     [ (11, false); (11, true); (23, false); (23, true) ]
 
+(* ------------------------------------- bitwise pins of the operator layer
+
+   The operator folds (G + s C through Op/Cop), the descriptor transfer and
+   expansion, the PRIMA/PVL reductions, the AC system CSR arrays and the
+   CSR builders (triplet sort/dedupe, pattern-merging add, real-to-complex
+   lift) on fixed inputs, digested from %h-printed output. Any change in
+   the order of the floating-point operations shows up as a mismatch. *)
+
+let op_pin_digest f =
+  let buf = Buffer.create 65536 in
+  let fl v = Printf.bprintf buf "%h " v in
+  let cx (z : Cx.t) = Printf.bprintf buf "%h,%h " z.re z.im in
+  f ~fl ~cx ~buf;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let pin_s = [ Cx.make 0.0 6.3e6; Cx.make 1e7 6.3e8; Cx.make 0.0 3e10 ]
+
+let pin_rom_descriptor (rom : Rfkit_rom.Prima.rom) =
+  {
+    Rfkit_rom.Descriptor.g = Op.dense rom.g_r;
+    c = Op.dense rom.c_r;
+    b = rom.b_r;
+    l = rom.l_r;
+  }
+
+let pin_descriptor () =
+  let open Rfkit_rom in
+  op_pin_digest (fun ~fl ~cx ~buf ->
+      let line = Descriptor.rc_line ~sections:40 ~r_total:4e3 ~c_total:4e-12 in
+      let line_i =
+        Descriptor.rlc_line_i ~sections:20 ~r_total:100.0 ~l_total:10e-9 ~c_total:4e-12
+      in
+      List.iter
+        (fun d ->
+          List.iter (fun s -> cx (Descriptor.transfer d s)) pin_s;
+          Array.iter fl (Descriptor.moments d ~s0:1e8 ~k:6);
+          let prima = Prima.reduce d ~s0:1e8 ~q:6 in
+          List.iter
+            (fun m -> Array.iter fl m.Mat.a)
+            [ prima.Prima.g_r; prima.Prima.c_r ];
+          Array.iter fl prima.Prima.b_r;
+          Array.iter fl prima.Prima.l_r;
+          Array.iter fl (Prima.moments prima ~s0:1e8 6);
+          let rd = pin_rom_descriptor prima in
+          List.iter (fun s -> cx (Descriptor.transfer rd s)) pin_s;
+          let pvl = Pvl.reduce d ~s0:1e8 ~q:5 in
+          Array.iter fl pvl.Pvl.t.Mat.a;
+          fl pvl.Pvl.kappa;
+          Buffer.add_char buf '\n')
+        [ line; line_i ])
+
+let pin_ac () =
+  op_pin_digest (fun ~fl:_ ~cx ~buf ->
+      List.iter
+        (fun (path, source) ->
+          let nl, _ = Deck.parse_file path in
+          let c = Mna.build nl in
+          let x0 = Dc.solve c in
+          List.iter
+            (fun freq ->
+              let row_ptr, col_idx, values =
+                Csparse.csr (Option.get (Cop.to_sparse_opt (Ac.system_op c x0 freq)))
+              in
+              Array.iter (Printf.bprintf buf "%d ") row_ptr;
+              Array.iter (Printf.bprintf buf "%d ") col_idx;
+              Array.iter cx values)
+            [ 1e3; 1e6; 1e9 ];
+          match
+            Ac.sweep_outcome c ~source
+              ~freqs:(Ac.log_freqs ~f_start:1e3 ~f_stop:1e9 ~points_per_decade:3)
+          with
+          | Rfkit_solve.Supervisor.Converged (r, _) ->
+              Array.iter (Array.iter cx) r.Ac.response
+          | Rfkit_solve.Supervisor.Failed f ->
+              Alcotest.failf "%s: AC failed: %s" path
+                (Rfkit_solve.Supervisor.failure_to_string f))
+        [
+          ("../examples/decks/lowpass.cir", "V1");
+          ("../examples/decks/mos_amp.cir", "VG");
+        ])
+
+(* [k] seeded triplets on an [n x n] grid, with many duplicate
+   coordinates; columns stay in [cols_from, cols_to), so two draws can be
+   made to overlap or to be disjoint *)
+let pin_triplets st ~n ~k ~cols_from ~cols_to =
+  List.init k (fun _ ->
+      let i = Random.State.int st n in
+      let j = cols_from + Random.State.int st (cols_to - cols_from) in
+      (i, j, Random.State.float st 2.0 -. 1.0))
+
+let pin_csr_builders () =
+  op_pin_digest (fun ~fl ~cx ~buf ->
+      let ints a = Array.iter (Printf.bprintf buf "%d ") a in
+      let real s =
+        let r, c, v = Sparse.csr s in
+        ints r;
+        ints c;
+        Array.iter fl v
+      and cplx s =
+        let r, c, v = Csparse.csr s in
+        ints r;
+        ints c;
+        Array.iter cx v
+      in
+      List.iter
+        (fun seed ->
+          let st = Random.State.make [| seed |] in
+          let n = 30 in
+          let t1 = pin_triplets st ~n ~k:200 ~cols_from:0 ~cols_to:n
+          and t2 = pin_triplets st ~n ~k:150 ~cols_from:0 ~cols_to:n
+          and t3 = pin_triplets st ~n ~k:60 ~cols_from:0 ~cols_to:10
+          and t4 = pin_triplets st ~n ~k:60 ~cols_from:20 ~cols_to:n in
+          let sp t = Sparse.of_triplets ~rows:n ~cols:n t in
+          let a = sp t1 and b = sp t2 and c = sp t3 and d = sp t4 in
+          List.iter real [ a; b; Sparse.add a b; Sparse.add c d; Sparse.add d a ];
+          let lift t =
+            List.map (fun (i, j, v) -> (i, j, Cx.make v ((0.5 *. v) +. 0.25))) t
+          in
+          let csp t = Csparse.of_triplets ~rows:n ~cols:n (lift t) in
+          let ca = csp t1 and cb = csp t2 and cc = csp t3 and cd = csp t4 in
+          List.iter cplx
+            [
+              ca;
+              cb;
+              Csparse.add ca cb;
+              Csparse.add cc cd;
+              Csparse.add cd ca;
+              Csparse.of_real a;
+              Csparse.add (Csparse.of_real b) ca;
+              Csparse.scale (Cx.make 0.5 2.0) cb;
+            ])
+        [ 3; 17 ])
+
+let op_pins =
+  [
+    ( "descriptor transfer, moments, PRIMA and PVL",
+      pin_descriptor,
+      "1d65cf08aa8678e2197666ba4076f567" );
+    ("AC system CSR and sweep response", pin_ac, "a84d3d6cfe8044fa4c868a707332349b");
+    ( "CSR of_triplets, add and of_real",
+      pin_csr_builders,
+      "f862f5442662e048a61e1b6b940f3804" );
+  ]
+
+let test_op_pins () =
+  List.iter
+    (fun (what, f, want) -> Alcotest.(check string) what want (f ()))
+    op_pins
+
 let suite =
   [
     ( "op.properties",
@@ -680,5 +831,6 @@ let suite =
           test_bitwise_pins;
         Alcotest.test_case "complex LU on a real matrix is the real LU" `Quick
           test_cross_field_bitwise;
+        Alcotest.test_case "operator layer bitwise pins" `Quick test_op_pins;
       ] );
   ]

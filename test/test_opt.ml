@@ -261,9 +261,23 @@ let test_box_constraint () =
   in
   let r = Optim.nelder_mead ~lo:[| 0.0 |] ~hi:[| 1.0 |] ~f [| 0.2 |] in
   check_bool "never leaves the box" false !outside;
+  check_bool "a wall minimum converges" true (r.Optim.reason = Optim.Converged);
   checkf 1e-2 "pinned to the wall" 1.0 r.Optim.best_x.(0);
   let r = Optim.pattern_search ~lo:[| 0.0 |] ~hi:[| 1.0 |] ~f [| 0.2 |] in
   checkf 1e-2 "pattern pinned to the wall" 1.0 r.Optim.best_x.(0)
+
+let test_nm_wall_collapse () =
+  (* a bowl centred near the y = 0 wall: two clipped reflections land on
+     (0, 0) and flatten the simplex onto y = 0, where it used to settle
+     at (0.152, 0) with f = 0.0131 and report Converged *)
+  let cx = 0.152127434689 and cy = 0.114580016419 in
+  let f x = ((x.(0) -. cx) ** 2.0) +. ((x.(1) -. cy) ** 2.0) in
+  let options = { Optim.default_options with max_evals = 500; tol_x = 1e-4 } in
+  let lo = [| 0.0; 0.0 |] and hi = [| 1.0; 1.0 |] in
+  let r = Optim.nelder_mead ~options ~lo ~hi ~f [| 0.5; 0.5 |] in
+  check_bool "converged" true (r.Optim.reason = Optim.Converged);
+  checkf 0.02 "x at the centre" cx r.Optim.best_x.(0);
+  checkf 0.02 "y off the wall, at the centre" cy r.Optim.best_x.(1)
 
 let test_budget_and_stop () =
   let evals = ref 0 in
@@ -440,6 +454,8 @@ let suite =
         QCheck_alcotest.to_alcotest qcheck_bowl_convergence;
         Alcotest.test_case "rosenbrock" `Quick test_rosenbrock;
         Alcotest.test_case "box constraint" `Quick test_box_constraint;
+        Alcotest.test_case "nelder-mead off a collapsed wall simplex" `Quick
+          test_nm_wall_collapse;
         Alcotest.test_case "budget and stop_when" `Quick test_budget_and_stop;
         Alcotest.test_case "var grammar" `Quick test_var_grammar;
       ] );
