@@ -1,10 +1,8 @@
-(* rfsim: command-line front end over the rfkit engines.
+(* rfsim: command-line front end over the rfkit analysis pipeline.
 
    Reads a SPICE-like deck (see Rfkit.Circuit.Deck for the grammar) and
    runs the analyses given on the command line or embedded as deck
-   directives (.dc/.tran/.ac/.hb). Every analysis first runs the static
-   netlist analyzer (Rfkit.Lint) and refuses to start numerics on an
-   error-severity diagnostic unless --no-lint is given.
+   directives (.dc/.tran/.ac/.noise/.hb).
 
      rfsim lint circuit.cir [--json] [--strict]
      rfsim run circuit.cir
@@ -13,6 +11,15 @@
      rfsim ac circuit.cir --f-start 1e3 --f-stop 1e9 --source V1 --node out
      rfsim hb circuit.cir --freq 1e6 --node out --harmonics 8
      rfsim hb circuit.cir --freq 1e6 --cascade
+
+   Every analysis subcommand, and `run`, is one job through
+   Rfkit.Batch.Pipeline followed by a text formatter in this file: the
+   pipeline's pre-flight reads and parses the deck, runs the static
+   netlist analyzer (Rfkit.Lint) and refuses an error-severity
+   diagnostic unless --no-lint is given; its analysis table runs the
+   engine, certifies the result and returns a typed outcome. The sweep
+   runner and the service run the same pre-flight and the same table, so
+   an analysis answers the same offline, swept and served.
 
    DC, transient and HB results are certified a posteriori (independent
    re-evaluation of the residuals; see Solve.Certify) unless --no-certify
@@ -30,7 +37,8 @@
    unavailable or overloaded past the retry budget); 7 spec not met
    (rfsim optimize finished but its best point fails the --spec clauses);
    66 is reserved for the --inject-crash-after testing hook (simulated
-   hard crash).
+   hard crash). Every engine failure is typed: no analysis ends in an
+   uncaught exception.
 
    Closed-loop design optimization (see Rfkit.Opt):
 
@@ -58,6 +66,8 @@
 open Rfkit
 open Circuit
 open Cmdliner
+module Pipeline = Batch.Pipeline
+module Sup = Solve.Supervisor
 
 let exit_parse = 1
 let exit_lint = 2
@@ -67,44 +77,56 @@ let exit_interrupted = 5
 let exit_unavailable = 6
 let exit_spec = 7
 
-(* Single-run analyses: a SIGINT/SIGTERM flips one atomic; the engine's
-   next Guard.check poll raises, the supervisor converts it into a typed
-   Interrupted failure, and die_failure exits 5 — instead of the process
-   dying mid-write on a bare signal. *)
-let install_single_run_signals () =
-  let handle _ = Solve.Deadline.request_interrupt () in
+let on_signals handle =
   try
     Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
   with Invalid_argument _ | Sys_error _ -> ()
 
-(* --stats flag state lives up here so die_failure can emit a final
-   stats line on an interrupted run (the supervisor report that would
-   normally carry the counters never materializes) *)
+(* Single-run analyses: a SIGINT/SIGTERM flips one atomic; the engine's
+   next Guard.check poll raises, the supervisor converts it into a typed
+   Interrupted failure, and [die] exits 5 — instead of the process dying
+   mid-write on a bare signal. *)
+let install_single_run_signals () =
+  on_signals (fun _ -> Solve.Deadline.request_interrupt ())
+
+(* Sweep, optimize and serve: the first signal closes the dispatch gate
+   and drains in-flight jobs under [grace]; a second force-quits like the
+   shell default (128+SIGINT). *)
+let install_drain_signals ~grace =
+  on_signals (fun _ ->
+      if Solve.Deadline.interrupt_requested () then Unix._exit 130
+      else Batch.Runner.request_stop ~grace)
+
+(* --stats flag state lives up here so [die] can emit a final stats line
+   on an interrupted run (the supervisor report that would normally
+   carry the counters never materializes) *)
 let stats_enabled = ref false
 
-(* on a supervised failure: print the full attempt ladder; exit 5 when
-   the cause was an interrupt, 3 otherwise *)
-let die_failure (f : Solve.Supervisor.failure) =
-  Printf.eprintf "%s\n" (Solve.Supervisor.failure_to_string f);
-  match f.Solve.Supervisor.cause with
-  | Solve.Supervisor.Interrupted ->
-      if !stats_enabled then
-        Printf.eprintf "stats: interrupted engine=%s attempts=%d\n"
-          f.Solve.Supervisor.f_engine
-          (List.length f.Solve.Supervisor.f_attempts);
-      exit exit_interrupted
-  | _ -> exit exit_no_convergence
+(* on a typed failure: print the attempt ladder (or the escalation
+   trace); exit 5 when the cause was an interrupt, 3 otherwise *)
+let die (f : Pipeline.failure) =
+  let cause =
+    match f with
+    | Pipeline.Engine f ->
+        Printf.eprintf "%s\n" (Sup.failure_to_string f);
+        if f.Sup.cause = Sup.Interrupted && !stats_enabled then
+          Printf.eprintf "stats: interrupted engine=%s attempts=%d\n" f.Sup.f_engine
+            (List.length f.Sup.f_attempts);
+        f.Sup.cause
+    | Pipeline.Chain f ->
+        Printf.eprintf "%s\n" (Solve.Cascade.failure_to_string f);
+        f.Solve.Cascade.x_cause
+  in
+  exit (match cause with Sup.Interrupted -> exit_interrupted | _ -> exit_no_convergence)
 
 (* note non-first-rung recoveries so deck problems stay visible *)
-let note_recovery (r : Solve.Supervisor.report) =
-  match r.Solve.Supervisor.strategy with
-  | Solve.Supervisor.Base -> ()
+let note_recovery (r : Sup.report) =
+  match r.Sup.strategy with
+  | Sup.Base -> ()
   | s ->
-      Printf.eprintf "note: %s converged via %s after %d attempts\n"
-        r.Solve.Supervisor.engine
-        (Solve.Supervisor.strategy_name s)
-        (List.length r.Solve.Supervisor.attempts)
+      Printf.eprintf "note: %s converged via %s after %d attempts\n" r.Sup.engine
+        (Sup.strategy_name s) (List.length r.Sup.attempts)
 
 (* testing hook: force the first N linear solves of an engine to report a
    singular Jacobian so the retry ladder (and exit codes) can be exercised
@@ -114,105 +136,99 @@ let arm_injection ~engine n =
     Solve.Faults.arm
       { Solve.Faults.none with engine = Some engine; singular_attempts = n }
 
-(* certification settings shared by the dc/tran/hb commands: how the
-   caller asked the a-posteriori verdicts to be handled *)
-type certify_mode = { enabled : bool; tol_scale : float }
-
 (* print the certificate; a Suspect verdict is a distinct exit code so
    scripted flows can tell "converged but not trustworthy" from "diverged" *)
 let emit_certificate cert =
   print_endline (Solve.Certify.certificate_to_string cert);
   if not (Solve.Certify.is_certified cert) then exit exit_certify
 
-let certify_when mode make_cert = if mode.enabled then emit_certificate (make_cert ())
-
 (* --stats: one observability line per analysis on stderr, off by default.
    The nnz/density/bytes figures come from the cached MNA sparsity pattern
    (state-independent), the iteration counts from the supervisor report of
-   the attempt that converged, and the lu_* counters from the sparse-LU
-   factorization ledger: lu_full counts fresh symbolic analyses, lu_refactor
-   counts Gilbert-Peierls numeric replays of a frozen pattern. *)
-let set_stats flag =
-  stats_enabled := flag;
-  La.Sparse_lu.reset_counts ();
-  La.Csparse_lu.reset_counts ()
-
-let emit_stats ~analysis c (st : Solve.Supervisor.stats) =
+   the attempt that converged, and the lu_* counters from the pipeline's
+   LU ledger snapshot, taken after the engine and before certification:
+   lu_full counts fresh symbolic analyses, lu_refactor counts
+   Gilbert-Peierls numeric replays of a frozen pattern. *)
+let emit_stats ~analysis c (st : Sup.stats) (l : Pipeline.ledger) =
   if !stats_enabled then begin
     let n = Mna.size c in
     let x = La.Vec.create n in
     let g = Mna.jac_g_sparse c x and cm = Mna.jac_c_sparse c x in
-    let lu_refactor, lu_full = La.Sparse_lu.counts () in
-    let clu_refactor, clu_full = La.Csparse_lu.counts () in
     Printf.eprintf
       "stats: %s unknowns=%d nnz(G)=%d nnz(C)=%d density(G)=%.4f \
 matrix_bytes=%d newton=%d gmres=%d lu_full=%d lu_refactor=%d fill_nnz=%d \
 clu_full=%d clu_refactor=%d clu_fill_nnz=%d ordering=%s\n"
       analysis n (La.Sparse.nnz g) (La.Sparse.nnz cm) (La.Sparse.density g)
       (La.Sparse.memory_bytes g + La.Sparse.memory_bytes cm)
-      st.Solve.Supervisor.iterations st.Solve.Supervisor.krylov_iterations
-      lu_full lu_refactor
-      (La.Sparse_lu.fill_nnz ())
-      clu_full clu_refactor
-      (La.Csparse_lu.fill_nnz ())
+      st.Sup.iterations st.Sup.krylov_iterations l.Pipeline.lu_full
+      l.Pipeline.lu_refactor l.Pipeline.fill_nnz l.Pipeline.clu_full
+      l.Pipeline.clu_refactor l.Pipeline.clu_fill_nnz
       (Struct.Order.mode_to_string (Mna.ordering c))
   end
 
-let load_located path =
-  try Deck.parse_file_located path with
-  | Deck.Parse_error (line, msg) ->
-      Printf.eprintf "%s:%d: %s\n" path line msg;
-      exit exit_parse
-  | Sys_error msg ->
+(* ---------------------------------------------------------- pre-flight -- *)
+
+let print_lint path ds = if ds <> [] then Printf.eprintf "%s\n" (fst (Lint.report ~path ds))
+
+(* The pipeline's refusals, rendered for the terminal: an unreadable or
+   unparsable deck exits 1, a lint-fatal one prints its findings and
+   exits 2. *)
+let refuse ~verb path = function
+  | Pipeline.Unreadable msg ->
       Printf.eprintf "%s\n" msg;
       exit exit_parse
-
-(* Pre-flight: refuse to hand a structurally broken deck to the solvers.
-   Warnings and hints are printed but do not block the run. *)
-let load ?(no_lint = false) path =
-  let nl, located = load_located path in
-  if not no_lint then begin
-    let ds = Lint.run nl located in
-    let text, fatal = Lint.report ~path ds in
-    if ds <> [] then Printf.eprintf "%s\n" text;
-    if fatal then begin
-      Printf.eprintf
-        "%s: %s; refusing to run (use --no-lint to override)\n" path (Lint.summary ds);
+  | Pipeline.Parse_failed { line; msg } ->
+      Printf.eprintf "%s:%d: %s\n" path line msg;
+      exit exit_parse
+  | Pipeline.Lint_fatal ds ->
+      print_lint path ds;
+      Printf.eprintf "%s: %s; refusing to %s (use --no-lint to override)\n" path
+        (Lint.summary ds) verb;
       exit exit_lint
-    end
-  end;
-  (nl, List.map snd located)
 
-let print_nodes nl =
-  let names = List.init (Netlist.node_count nl) (Netlist.node_name nl) in
-  String.concat ", " names
+let read_deck path =
+  match Pipeline.read_deck path with Ok text -> text | Error r -> refuse ~verb:"run" path r
 
-let run_dc ?(certify = { enabled = true; tol_scale = 1.0 }) c =
-  let x =
-    match Dc.solve_outcome c with
-    | Solve.Supervisor.Converged (x, report) ->
-        note_recovery report;
-        emit_stats ~analysis:"dc" c report.Solve.Supervisor.stats;
-        x
-    | Solve.Supervisor.Failed f -> die_failure f
-  in
+(* Pre-flight: lint findings that do not block the run are printed. *)
+let preflight ~verb ?overrides ~lint path text =
+  match Pipeline.prepare ?overrides ~lint text with
+  | Ok deck ->
+      print_lint path deck.Pipeline.diagnostics;
+      deck
+  | Error r -> refuse ~verb path r
+
+(* One job: the pre-flight, the LU ledger zeroed for --stats, the
+   circuit built with its ordering. *)
+let one_job ?ordering ~no_lint ~stats path =
+  install_single_run_signals ();
+  let deck = preflight ~verb:"run" ~lint:(not no_lint) path (read_deck path) in
+  stats_enabled := stats;
+  Pipeline.reset_ledger ();
+  (deck, Pipeline.circuit ?ordering deck)
+
+let analysis ?certify c request =
+  match Pipeline.run ?certify c request with
+  | Pipeline.Converged r -> r
+  | Pipeline.Failed f -> die f
+
+(* ---------------------------------------------------------- formatters -- *)
+
+let print_dc c (r : La.Vec.t Pipeline.converged) =
+  note_recovery r.Pipeline.report;
+  emit_stats ~analysis:"dc" c r.Pipeline.report.Sup.stats r.Pipeline.ledger;
+  let x = r.Pipeline.value in
   Printf.printf "DC operating point:\n";
   let nl = Mna.netlist c in
   for i = 0 to Netlist.node_count nl - 1 do
     Printf.printf "  v(%s) = %.9g V\n" (Netlist.node_name nl i) x.(i)
   done;
-  certify_when certify (fun () -> Dc.certify ~tol_scale:certify.tol_scale c x)
+  Option.iter emit_certificate r.Pipeline.certificate
 
-let run_tran ?(certify = { enabled = true; tol_scale = 1.0 }) c ~t_stop ~dt ~nodes =
-  let res =
-    match Tran.run_outcome c ~t_stop ~dt with
-    | Solve.Supervisor.Converged (res, report) ->
-        note_recovery report;
-        emit_stats ~analysis:"tran" c report.Solve.Supervisor.stats;
-        res
-    | Solve.Supervisor.Failed f -> die_failure f
-  in
-  certify_when certify (fun () -> Tran.certify ~tol_scale:certify.tol_scale c res);
+let print_tran c ~nodes (r : Tran.result Pipeline.converged) =
+  note_recovery r.Pipeline.report;
+  emit_stats ~analysis:"tran" c r.Pipeline.report.Sup.stats r.Pipeline.ledger;
+  Option.iter emit_certificate r.Pipeline.certificate;
+  let res = r.Pipeline.value in
   let n = Array.length res.Tran.times in
   Printf.printf "time";
   List.iter (Printf.printf ",v(%s)") nodes;
@@ -227,29 +243,24 @@ let run_tran ?(certify = { enabled = true; tol_scale = 1.0 }) c ~t_stop ~dt ~nod
     end
   done
 
-let run_ac c ~f_start ~f_stop ~source ~node =
-  let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
-  match Ac.sweep_outcome c ~source ~freqs with
-  | Solve.Supervisor.Failed f -> die_failure f
-  | Solve.Supervisor.Converged (res, _) ->
-      let h = Ac.transfer c res node in
-      Printf.printf "freq,mag_db,phase_deg\n";
-      Array.iteri
-        (fun i z ->
-          Printf.printf "%.6e,%.3f,%.2f\n" freqs.(i)
-            (La.Stats.db20 (La.Cx.abs z))
-            (La.Cx.arg z *. 180.0 /. Float.pi))
-        h
+(* AC and noise are direct linearized solves: no Newton/Krylov counters *)
+let print_ac c ~node (r : Ac.result Pipeline.converged) =
+  let res = r.Pipeline.value in
+  Printf.printf "freq,mag_db,phase_deg\n";
+  Array.iteri
+    (fun i z ->
+      Printf.printf "%.6e,%.3f,%.2f\n" res.Ac.freqs.(i)
+        (La.Stats.db20 (La.Cx.abs z))
+        (La.Cx.arg z *. 180.0 /. Float.pi))
+    (Ac.transfer c res node);
+  emit_stats ~analysis:"ac" c Sup.no_stats r.Pipeline.ledger
 
-let run_noise c ~f_start ~f_stop ~node =
-  let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
-  match Ac.output_noise_outcome c ~node ~freqs with
-  | Solve.Supervisor.Failed f -> die_failure f
-  | Solve.Supervisor.Converged (psd, _) ->
-      Printf.printf "freq,vnoise_psd,vnoise_per_rthz\n";
-      Array.iteri
-        (fun i s -> Printf.printf "%.6e,%.6e,%.6e\n" freqs.(i) s (sqrt s))
-        psd
+let print_noise c ~freqs (r : float array Pipeline.converged) =
+  Printf.printf "freq,vnoise_psd,vnoise_per_rthz\n";
+  Array.iteri
+    (fun i s -> Printf.printf "%.6e,%.6e,%.6e\n" freqs.(i) s (sqrt s))
+    r.Pipeline.value;
+  emit_stats ~analysis:"noise" c Sup.no_stats r.Pipeline.ledger
 
 let print_harmonics ~freq ~harmonics amplitude =
   Printf.printf "harmonic,freq,amplitude\n";
@@ -257,48 +268,46 @@ let print_harmonics ~freq ~harmonics amplitude =
     Printf.printf "%d,%.6e,%.6e\n" k (float_of_int k *. freq) (amplitude k)
   done
 
-let run_hb ?(certify = { enabled = true; tol_scale = 1.0 })
-    ?(solver = Rf.Hb.Direct) c ~freq ~node ~harmonics =
-  let res =
-    match
-      Rf.Hb.solve_outcome
-        ~options:
-          {
-            Rf.Hb.default_options with
-            n_samples = La.Fft.next_pow2 (4 * harmonics);
-            solver;
-          }
-        c ~freq
-    with
-    | Solve.Supervisor.Converged (res, report) ->
-        note_recovery report;
-        emit_stats ~analysis:"hb" c report.Solve.Supervisor.stats;
-        res
-    | Solve.Supervisor.Failed f -> die_failure f
-  in
-  Printf.printf "harmonic balance at %.6g Hz (%d Newton iterations):\n" freq
+let print_hb c ~node ~harmonics (r : Rf.Hb.result Pipeline.converged) =
+  note_recovery r.Pipeline.report;
+  emit_stats ~analysis:"hb" c r.Pipeline.report.Sup.stats r.Pipeline.ledger;
+  let res = r.Pipeline.value in
+  Printf.printf "harmonic balance at %.6g Hz (%d Newton iterations):\n" res.Rf.Hb.freq
     res.Rf.Hb.newton_iters;
-  certify_when certify (fun () ->
-      Rf.Pss.certify ~tol_scale:certify.tol_scale (Rf.Pss.of_hb res));
-  print_harmonics ~freq ~harmonics (Rf.Hb.harmonic_amplitude res node)
+  Option.iter emit_certificate r.Pipeline.certificate;
+  print_harmonics ~freq:res.Rf.Hb.freq ~harmonics (Rf.Hb.harmonic_amplitude res node)
 
 (* --cascade: the engine-agnostic PSS chain. The escalation trace goes to
    stdout (it is part of the result: which route produced the answer),
    rendered without timings so repeated runs are byte-identical. *)
-let run_hb_cascade ?(certify = { enabled = true; tol_scale = 1.0 }) c ~freq ~node
-    ~harmonics =
-  let n_samples = La.Fft.next_pow2 (4 * harmonics) in
-  match Rf.Pss.solve_outcome ~chain:(Rf.Pss.default_chain ~n_samples ()) c ~freq with
-  | Solve.Cascade.Completed (sol, report) ->
-      print_endline (Solve.Cascade.report_to_string report);
-      certify_when certify (fun () ->
-          Rf.Pss.certify ~tol_scale:certify.tol_scale sol);
-      print_harmonics ~freq ~harmonics (Rf.Pss.harmonic_amplitude sol node)
-  | Solve.Cascade.Exhausted f ->
-      Printf.eprintf "%s\n" (Solve.Cascade.failure_to_string f);
-      (match f.Solve.Cascade.x_cause with
-      | Solve.Supervisor.Interrupted -> exit exit_interrupted
-      | _ -> exit exit_no_convergence)
+let print_cascade ~freq ~node ~harmonics (r : Rf.Pss.solution Pipeline.converged) =
+  Option.iter
+    (fun rep -> print_endline (Solve.Cascade.report_to_string rep))
+    r.Pipeline.chain;
+  Option.iter emit_certificate r.Pipeline.certificate;
+  print_harmonics ~freq ~harmonics (Rf.Pss.harmonic_amplitude r.Pipeline.value node)
+
+let print_shooting c ~freq ~node ~harmonics (r : Rf.Shooting.result Pipeline.converged) =
+  note_recovery r.Pipeline.report;
+  emit_stats ~analysis:"shooting" c r.Pipeline.report.Sup.stats r.Pipeline.ledger;
+  let res = r.Pipeline.value in
+  Printf.printf "shooting at %.6g Hz (%d Newton iterations, %d steps):\n" freq
+    res.Rf.Shooting.newton_iters res.Rf.Shooting.integration_steps;
+  Option.iter emit_certificate r.Pipeline.certificate;
+  print_harmonics ~freq ~harmonics
+    (Rf.Pss.harmonic_amplitude (Rf.Pss.of_shooting res) node)
+
+let print_mmft c ~f1 ~f2 ~slow_harmonics ~node (r : Rf.Mmft.result Pipeline.converged) =
+  note_recovery r.Pipeline.report;
+  emit_stats ~analysis:"mmft" c r.Pipeline.report.Sup.stats r.Pipeline.ledger;
+  let res = r.Pipeline.value in
+  Printf.printf "mmft at f1=%.6g Hz, f2=%.6g Hz (%d Newton iterations, %d steps):\n" f1 f2
+    res.Rf.Mmft.newton_iters res.Rf.Mmft.integration_steps;
+  Printf.printf "slow_harmonic,envelope_max\n";
+  for j = 0 to slow_harmonics do
+    let env = Rf.Mmft.harmonic_magnitude res node j in
+    Printf.printf "%d,%.6e\n" j (Array.fold_left max 0.0 env)
+  done
 
 (* ---------------------------------------------------------------- CLI -- *)
 
@@ -335,8 +344,6 @@ let certify_scale_arg =
           "Multiply every certification threshold by $(docv); a tiny value \
            forces a Suspect verdict (exit 4) on any real result, a large \
            one waves marginal results through.")
-
-let certify_mode no_certify scale = { enabled = not no_certify; tol_scale = scale }
 
 let stats_arg =
   Arg.(
@@ -376,17 +383,35 @@ let cascade_arg =
            ladder before the chain escalates, and the escalation trace is \
            printed with the result.")
 
+let certify_of no_certify scale = if no_certify then None else Some scale
+
+(* analysis options shared by the one-shot subcommands, sweep, optimize
+   and client sweep: same flags, same defaults *)
+let opt_arg kind default name doc = Arg.(value & opt kind default & info [ name ] ~doc)
+
+let freq_arg =
+  opt_arg Arg.(some float) None "freq"
+    "hb/shooting fundamental; default: first periodic source."
+
+let harmonics_arg = opt_arg Arg.int 8 "harmonics" "Harmonics to report (hb, shooting)."
+let steps_arg = opt_arg Arg.int 128 "steps" "Shooting integration steps per period."
+let t_stop_arg = opt_arg Arg.float 1e-6 "t-stop" "Transient stop time (s)."
+let dt_arg = opt_arg Arg.float 1e-9 "dt" "Transient time step (s)."
+let f_start_arg = opt_arg Arg.float 1e3 "f-start" "AC/noise start frequency."
+let f_stop_arg = opt_arg Arg.float 1e9 "f-stop" "AC/noise stop frequency."
+let ppd_arg = opt_arg Arg.int 10 "points-per-decade" "AC frequency resolution."
+
+let json_arg =
+  Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON-lines output.")
+
 let lint_cmd =
   let doc = "statically analyze a deck without running it (RF DRC)" in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON-lines output.")
-  in
   let strict =
     Arg.(value & flag & info [ "strict" ] ~doc:"Treat warnings as errors.")
   in
   let run path json strict =
-    let nl, located = load_located path in
-    let ds = Lint.run nl located in
+    let deck = preflight ~verb:"lint" ~lint:false path (read_deck path) in
+    let ds = Lint.run deck.Pipeline.netlist deck.Pipeline.directives in
     if json then begin
       if ds <> [] then print_endline (Lint.report_json ~path ds)
     end
@@ -398,7 +423,7 @@ let lint_cmd =
     let _, fatal = Lint.report ~path ~strict ds in
     if fatal then exit exit_lint
   in
-  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ deck_arg $ json $ strict)
+  Cmd.v (Cmd.info "lint" ~doc) Term.(const run $ deck_arg $ json_arg $ strict)
 
 (* rfsim analyze: the structural pre-analysis as a first-class report.
    Parses and compiles the deck but never factors real values: everything
@@ -407,12 +432,10 @@ let lint_cmd =
    Exit 2 when the pattern proves the system singular (L021/L022). *)
 let analyze_cmd =
   let doc = "structural pre-analysis: DM rank, BTF blocks, ordering fill-in" in
-  let json =
-    Arg.(value & flag & info [ "json" ] ~doc:"Machine-readable JSON-lines output.")
-  in
   let run path json =
-    let nl, _ = load_located path in
-    let c = Mna.build nl in
+    let deck = preflight ~verb:"analyze" ~lint:false path (read_deck path) in
+    let nl = deck.Pipeline.netlist in
+    let c = Pipeline.circuit deck in
     let n = Mna.size c in
     let sg = Mna.structural_g c
     and sc = Mna.structural_c c
@@ -504,18 +527,14 @@ let analyze_cmd =
     end;
     if Lint.Diagnostic.has_errors ds then exit exit_lint
   in
-  Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ deck_arg $ json)
+  Cmd.v (Cmd.info "analyze" ~doc) Term.(const run $ deck_arg $ json_arg)
 
 let dc_cmd =
   let doc = "DC operating point" in
   let run path no_lint inject no_certify scale stats ordering =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
+    let _, c = one_job ~ordering ~no_lint ~stats path in
     arm_injection ~engine:"dc" inject;
-    set_stats stats;
-    let c = Mna.build nl in
-    Mna.set_ordering c ordering;
-    run_dc ~certify:(certify_mode no_certify scale) c
+    print_dc c (analysis ?certify:(certify_of no_certify scale) c Pipeline.Dc)
   in
   Cmd.v (Cmd.info "dc" ~doc)
     Term.(
@@ -524,65 +543,45 @@ let dc_cmd =
 
 let tran_cmd =
   let doc = "transient analysis (CSV on stdout)" in
-  let t_stop = Arg.(value & opt float 1e-6 & info [ "t-stop" ] ~doc:"Stop time (s).") in
-  let dt = Arg.(value & opt float 1e-9 & info [ "dt" ] ~doc:"Time step (s).") in
   let run path no_lint t_stop dt node no_certify scale stats ordering =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
-    set_stats stats;
-    let c = Mna.build nl in
-    Mna.set_ordering c ordering;
-    run_tran ~certify:(certify_mode no_certify scale) c ~t_stop ~dt
-      ~nodes:[ node ]
+    let _, c = one_job ~ordering ~no_lint ~stats path in
+    print_tran c ~nodes:[ node ]
+      (analysis ?certify:(certify_of no_certify scale) c (Pipeline.Tran { t_stop; dt }))
   in
   Cmd.v (Cmd.info "tran" ~doc)
     Term.(
-      const run $ deck_arg $ no_lint_arg $ t_stop $ dt $ node_arg "out"
+      const run $ deck_arg $ no_lint_arg $ t_stop_arg $ dt_arg $ node_arg "out"
       $ no_certify_arg $ certify_scale_arg $ stats_arg $ ordering_arg)
 
 let ac_cmd =
   let doc = "AC small-signal sweep (CSV on stdout)" in
-  let f_start = Arg.(value & opt float 1e3 & info [ "f-start" ] ~doc:"Start frequency.") in
-  let f_stop = Arg.(value & opt float 1e9 & info [ "f-stop" ] ~doc:"Stop frequency.") in
   let source = Arg.(value & opt string "V1" & info [ "source" ] ~doc:"Driving source name.") in
   let run path no_lint f_start f_stop source node stats ordering =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
-    set_stats stats;
-    let c = Mna.build nl in
-    Mna.set_ordering c ordering;
-    run_ac c ~f_start ~f_stop ~source ~node;
-    (* AC is a direct linearized solve: no Newton/Krylov counters *)
-    emit_stats ~analysis:"ac" c Solve.Supervisor.no_stats
+    let _, c = one_job ~ordering ~no_lint ~stats path in
+    let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
+    print_ac c ~node (analysis c (Pipeline.Ac { source = Some source; freqs }))
   in
   Cmd.v (Cmd.info "ac" ~doc)
     Term.(
-      const run $ deck_arg $ no_lint_arg $ f_start $ f_stop $ source $ node_arg "out"
+      const run $ deck_arg $ no_lint_arg $ f_start_arg $ f_stop_arg $ source
+      $ node_arg "out"
       $ stats_arg $ ordering_arg)
 
 let noise_cmd =
   let doc = "output-noise PSD sweep (CSV on stdout)" in
-  let f_start = Arg.(value & opt float 1e3 & info [ "f-start" ] ~doc:"Start frequency.") in
-  let f_stop = Arg.(value & opt float 1e9 & info [ "f-stop" ] ~doc:"Stop frequency.") in
   let run path no_lint f_start f_stop node stats ordering =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
-    set_stats stats;
-    let c = Mna.build nl in
-    Mna.set_ordering c ordering;
-    run_noise c ~f_start ~f_stop ~node;
-    (* noise is a chain of direct linearized solves: no Newton/Krylov *)
-    emit_stats ~analysis:"noise" c Solve.Supervisor.no_stats
+    let _, c = one_job ~ordering ~no_lint ~stats path in
+    let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
+    print_noise c ~freqs (analysis c (Pipeline.Noise { node; freqs }))
   in
   Cmd.v (Cmd.info "noise" ~doc)
     Term.(
-      const run $ deck_arg $ no_lint_arg $ f_start $ f_stop $ node_arg "out"
+      const run $ deck_arg $ no_lint_arg $ f_start_arg $ f_stop_arg $ node_arg "out"
       $ stats_arg $ ordering_arg)
 
 let hb_cmd =
   let doc = "harmonic-balance periodic steady state" in
   let freq = Arg.(value & opt float 1e6 & info [ "freq" ] ~doc:"Fundamental frequency.") in
-  let harmonics = Arg.(value & opt int 8 & info [ "harmonics" ] ~doc:"Harmonics to report.") in
   let solver =
     let solver_conv =
       Arg.enum [ ("direct", Rf.Hb.Direct); ("gmres", Rf.Hb.Matrix_free_gmres) ]
@@ -597,51 +596,36 @@ let hb_cmd =
   in
   let run path no_lint freq harmonics node inject cascade no_certify scale stats
       ordering solver =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
+    let _, c = one_job ~ordering ~no_lint ~stats path in
     arm_injection ~engine:"hb" inject;
-    set_stats stats;
-    let certify = certify_mode no_certify scale in
-    let c = Mna.build nl in
-    Mna.set_ordering c ordering;
-    if cascade then run_hb_cascade ~certify c ~freq ~node ~harmonics
-    else run_hb ~certify ~solver c ~freq ~node ~harmonics
+    let certify = certify_of no_certify scale in
+    if cascade then
+      print_cascade ~freq ~node ~harmonics
+        (analysis ?certify c (Pipeline.Pss { freq = Some freq; harmonics }))
+    else
+      print_hb c ~node ~harmonics
+        (analysis ?certify c (Pipeline.Hb { freq = Some freq; harmonics; solver }))
   in
   Cmd.v (Cmd.info "hb" ~doc)
     Term.(
-      const run $ deck_arg $ no_lint_arg $ freq $ harmonics $ node_arg "out"
+      const run $ deck_arg $ no_lint_arg $ freq $ harmonics_arg $ node_arg "out"
       $ inject_singular_arg $ cascade_arg $ no_certify_arg $ certify_scale_arg
       $ stats_arg $ ordering_arg $ solver)
 
 let shooting_cmd =
   let doc = "shooting-method periodic steady state" in
   let freq = Arg.(value & opt float 1e6 & info [ "freq" ] ~doc:"Fundamental frequency.") in
-  let steps =
-    Arg.(value & opt int 128 & info [ "steps" ] ~doc:"Integration steps per period.")
-  in
-  let harmonics = Arg.(value & opt int 8 & info [ "harmonics" ] ~doc:"Harmonics to report.") in
   let run path no_lint freq steps harmonics node inject no_certify scale stats =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
+    let _, c = one_job ~no_lint ~stats path in
     arm_injection ~engine:"shooting" inject;
-    set_stats stats;
-    let certify = certify_mode no_certify scale in
-    let c = Mna.build nl in
-    let options = { Rf.Shooting.default_options with steps_per_period = steps } in
-    match Rf.Shooting.solve_outcome ~options c ~freq with
-    | Solve.Supervisor.Converged (res, report) ->
-        note_recovery report;
-        emit_stats ~analysis:"shooting" c report.Solve.Supervisor.stats;
-        Printf.printf "shooting at %.6g Hz (%d Newton iterations, %d steps):\n" freq
-          res.Rf.Shooting.newton_iters res.Rf.Shooting.integration_steps;
-        let sol = Rf.Pss.of_shooting res in
-        certify_when certify (fun () -> Rf.Pss.certify ~tol_scale:certify.tol_scale sol);
-        print_harmonics ~freq ~harmonics (Rf.Pss.harmonic_amplitude sol node)
-    | Solve.Supervisor.Failed f -> die_failure f
+    print_shooting c ~freq ~node ~harmonics
+      (analysis ?certify:(certify_of no_certify scale) c
+         (Pipeline.Shooting { freq = Some freq; steps }))
   in
   Cmd.v (Cmd.info "shooting" ~doc)
     Term.(
-      const run $ deck_arg $ no_lint_arg $ freq $ steps $ harmonics $ node_arg "out"
+      const run $ deck_arg $ no_lint_arg $ freq $ steps_arg $ harmonics_arg
+      $ node_arg "out"
       $ inject_singular_arg $ no_certify_arg $ certify_scale_arg $ stats_arg)
 
 let mmft_cmd =
@@ -653,25 +637,10 @@ let mmft_cmd =
       value & opt int 3
       & info [ "slow-harmonics" ] ~doc:"Slow-axis Fourier order K (2K+1 phases).")
   in
-  let run path no_lint f1 f2 k node stats =
-    install_single_run_signals ();
-    let nl, _ = load ~no_lint path in
-    set_stats stats;
-    let c = Mna.build nl in
-    let options = { Rf.Mmft.default_options with slow_harmonics = k } in
-    match Rf.Mmft.solve_outcome ~options c ~f1 ~f2 with
-    | Solve.Supervisor.Converged (res, report) ->
-        note_recovery report;
-        emit_stats ~analysis:"mmft" c report.Solve.Supervisor.stats;
-        Printf.printf "mmft at f1=%.6g Hz, f2=%.6g Hz (%d Newton iterations, %d steps):\n"
-          f1 f2 res.Rf.Mmft.newton_iters res.Rf.Mmft.integration_steps;
-        Printf.printf "slow_harmonic,envelope_max\n";
-        for j = 0 to k do
-          let env = Rf.Mmft.harmonic_magnitude res node j in
-          let m = Array.fold_left max 0.0 env in
-          Printf.printf "%d,%.6e\n" j m
-        done
-    | Solve.Supervisor.Failed f -> die_failure f
+  let run path no_lint f1 f2 slow_harmonics node stats =
+    let _, c = one_job ~no_lint ~stats path in
+    print_mmft c ~f1 ~f2 ~slow_harmonics ~node
+      (analysis c (Pipeline.Mmft { f1; f2; slow_harmonics }))
   in
   Cmd.v (Cmd.info "mmft" ~doc)
     Term.(
@@ -702,15 +671,6 @@ let analysis_arg =
     value & opt string "dc"
     & info [ "analysis" ] ~docv:"LIST"
         ~doc:"Comma-separated analyses: dc, ac, tran, hb, shooting.")
-
-let freq_arg = Arg.(value & opt (some float) None & info [ "freq" ] ~doc:"hb/shooting fundamental; default: first periodic source.")
-let harmonics_arg = Arg.(value & opt int 8 & info [ "harmonics" ] ~doc:"hb harmonics.")
-let steps_arg = Arg.(value & opt int 128 & info [ "steps" ] ~doc:"shooting steps per period.")
-let t_stop_arg = Arg.(value & opt float 1e-6 & info [ "t-stop" ] ~doc:"tran stop time (s).")
-let dt_arg = Arg.(value & opt float 1e-9 & info [ "dt" ] ~doc:"tran time step (s).")
-let f_start_arg = Arg.(value & opt float 1e3 & info [ "f-start" ] ~doc:"ac start frequency.")
-let f_stop_arg = Arg.(value & opt float 1e9 & info [ "f-stop" ] ~doc:"ac stop frequency.")
-let ppd_arg = Arg.(value & opt int 10 & info [ "points-per-decade" ] ~doc:"ac frequency resolution.")
 
 let make_defaults ~freq ~harmonics ~steps ~t_stop ~dt ~f_start ~f_stop ~ppd =
   {
@@ -786,6 +746,89 @@ let grace_arg =
           "Drain budget after SIGINT/SIGTERM: in-flight jobs get this \
            long to finish before being killed and left for --resume.")
 
+let jobs_arg =
+  Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains (parallel jobs).")
+
+let resume_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "resume" ] ~docv:"DIR"
+        ~doc:
+          "Resume an interrupted or crashed run from the run journal in cache \
+           directory $(docv) (implies $(b,--cache-dir) $(docv)): journaled \
+           jobs are replayed without re-execution, pending ones run, and the \
+           result is byte-identical to an uninterrupted run.")
+
+let inject_crash_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "inject-crash-after" ] ~docv:"N"
+        ~doc:
+          "Testing hook: hard-kill the process (exit 66, no cleanup) once \
+           $(docv) jobs have completed — the journal must make the run \
+           resumable.")
+
+let inject_interrupt_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "inject-interrupt-after" ] ~docv:"N"
+        ~doc:
+          "Testing hook: simulate SIGINT/SIGTERM delivery once $(docv) jobs \
+           have completed, exercising the graceful drain deterministically.")
+
+let inject_stall_arg =
+  Arg.(
+    value & opt (some int) None
+    & info [ "inject-stall" ] ~docv:"JOB"
+        ~doc:
+          "Testing hook: wedge job $(docv) in a busy loop so \
+           --job-deadline (or the drain clamp) must quarantine it.")
+
+(* process-level chaos for the recovery tests *)
+let arm_chaos ?stall_job ?accept_stall crash_after interrupt_after =
+  Solve.Faults.arm_process
+    { Solve.Faults.crash_after; interrupt_after; stall_job; accept_stall }
+
+(* Run bookkeeping shared by sweep and optimize. --resume DIR implies
+   --cache-dir DIR (the journal lives with the cache it replays
+   through); the journal doubles as the in-progress marker. *)
+let open_run ~what ~cache_dir ~no_cache ~resume ~run_hash ~total =
+  let cache = Batch.Cache.create ~enabled:(not no_cache) ~dir:cache_dir () in
+  let replay =
+    if resume = None then None
+    else begin
+      let r = Batch.Journal.load ~dir:cache_dir ~run:run_hash in
+      if r = None then
+        Printf.eprintf "%s: no journal for this run under %s; running from scratch\n"
+          what cache_dir;
+      r
+    end
+  in
+  let journal =
+    if no_cache then None
+    else Some (Batch.Journal.create ~dir:cache_dir ~run:run_hash ~total)
+  in
+  (cache, replay, journal)
+
+let run_cache_dir ~what ~cache_dir ~no_cache resume =
+  if resume <> None && no_cache then begin
+    Printf.eprintf "%s: --resume needs the cache (drop --no-cache)\n" what;
+    exit exit_parse
+  end;
+  Option.value resume ~default:cache_dir
+
+(* delete the journal on completion, keep it (resumable) on interrupt *)
+let close_run ~interrupted = function
+  | None -> ()
+  | Some j -> if interrupted then Batch.Journal.close j else Batch.Journal.finish_run j
+
+let print_gc oc (gs : Batch.Cache.gc_stats) =
+  Printf.fprintf oc
+    "cache gc: examined=%d evicted=%d evicted_bytes=%d pinned=%d entries=%d \
+     bytes=%d\n"
+    gs.Batch.Cache.gc_examined gs.Batch.Cache.gc_evicted gs.Batch.Cache.gc_evicted_bytes
+    gs.Batch.Cache.gc_pinned gs.Batch.Cache.gc_entries gs.Batch.Cache.gc_bytes
+
 let sweep_cmd =
   let doc = "parameter sweep: expand, run in parallel, cache, report JSONL" in
   let man =
@@ -802,22 +845,6 @@ let sweep_cmd =
          timings) goes to $(b,--telemetry) as JSONL.";
     ]
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains (parallel jobs).")
-  in
-  let resume_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "resume" ] ~docv:"DIR"
-          ~doc:
-            "Resume an interrupted or crashed sweep from the run journal in \
-             cache directory $(docv) (implies $(b,--cache-dir) $(docv)): \
-             journaled jobs are replayed without re-execution, pending ones \
-             run, and the final report is byte-identical to an \
-             uninterrupted run.")
-  in
   let cache_max_bytes_arg =
     Arg.(
       value & opt (some int) None
@@ -831,31 +858,6 @@ let sweep_cmd =
       & info [ "cache-max-entries" ] ~docv:"N"
           ~doc:"Evict least-recently-used cache entries past this count \
                 after the sweep.")
-  in
-  let inject_crash_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-crash-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: hard-kill the process (exit 66, no cleanup) once \
-             $(docv) jobs have completed — the journal must make the run \
-             resumable.")
-  in
-  let inject_interrupt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-interrupt-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: simulate SIGINT delivery once $(docv) jobs have \
-             completed, exercising the graceful drain deterministically.")
-  in
-  let inject_stall_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-stall" ] ~docv:"JOB"
-          ~doc:
-            "Testing hook: wedge job $(docv) in a busy loop so \
-             --job-deadline (or the drain clamp) must quarantine it.")
   in
   let measure_args =
     Arg.(
@@ -872,17 +874,7 @@ let sweep_cmd =
       f_start f_stop ppd cache_dir no_cache telemetry_path job_iters job_wall
       no_lint ordering stats resume job_deadline grace cache_max_bytes
       cache_max_entries inject_crash inject_interrupt inject_stall measures =
-    let deck_text =
-      try
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        text
-      with Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit exit_parse
-    in
+    let deck_text = read_deck path in
     let spec =
       try
         let axes = List.map Batch.Spec.parse_axis params in
@@ -921,36 +913,18 @@ let sweep_cmd =
           (fun (a : Batch.Spec.axis) -> (a.Batch.Spec.a_name, a.Batch.Spec.a_values.(0)))
           axes
       in
-      match Deck.parse_string_located ~overrides deck_text with
-      | exception Deck.Parse_error (line, msg) ->
-          Printf.eprintf "%s:%d: %s\n" path line msg;
-          exit exit_parse
-      | nl, located ->
-          let ds = Lint.run nl located in
-          let text, fatal = Lint.report ~path ds in
-          if ds <> [] then Printf.eprintf "%s\n" text;
-          if fatal then begin
-            Printf.eprintf "%s: %s; refusing to sweep (use --no-lint to override)\n"
-              path (Lint.summary ds);
-            exit exit_lint
-          end
+      ignore (preflight ~verb:"sweep" ~overrides ~lint:true path deck_text)
     end;
     let job_list = Batch.Expand.expand ~axes ~corners ~analyses in
-    let budget = budget_of job_iters job_wall in
+    let total = List.length job_list in
     if stats then La.Sparse_lu.reset_counts ();
-    (* --resume DIR implies --cache-dir DIR: the journal lives with the
-       cache it replays through *)
-    let cache_dir = Option.value resume ~default:cache_dir in
-    if resume <> None && no_cache then begin
-      Printf.eprintf "sweep: --resume needs the cache (drop --no-cache)\n";
-      exit exit_parse
-    end;
+    let cache_dir = run_cache_dir ~what:"sweep" ~cache_dir ~no_cache resume in
     let cfg =
       {
         Batch.Runner.deck_text;
         node;
         domains = max 1 jobs;
-        budget;
+        budget = budget_of job_iters job_wall;
         tol_scale = 1.0;
         ordering;
         stats;
@@ -958,73 +932,16 @@ let sweep_cmd =
         grace;
       }
     in
-    (* process-level chaos for recovery tests *)
-    (match (inject_crash, inject_interrupt, inject_stall) with
-    | None, None, None -> ()
-    | crash_after, interrupt_after, stall_job ->
-        Solve.Faults.arm_process
-          { Solve.Faults.crash_after; interrupt_after; stall_job;
-            accept_stall = None });
-    (* run identity: the journal is keyed by a hash over every job's
-       cache key (deck, params, analysis, engine options) plus the job
-       count and the deadline config — anything that can change what the
-       journal records. A --resume against a different spec simply finds
-       no journal. *)
-    let run_hash =
-      Batch.Hash.digest
-        (String.concat "\n"
-           (Printf.sprintf "jobs=%d" (List.length job_list)
-           :: Printf.sprintf "deadline=%s"
-                (match job_deadline with
-                | None -> "none"
-                | Some s -> Printf.sprintf "%.9g" s)
-           :: List.map (Batch.Runner.job_key cfg) job_list))
+    arm_chaos ?stall_job:inject_stall inject_crash inject_interrupt;
+    let cache, replay, journal =
+      open_run ~what:"sweep" ~cache_dir ~no_cache ~resume
+        ~run_hash:(Batch.Runner.run_hash cfg job_list) ~total
     in
-    let cache = Batch.Cache.create ~enabled:(not no_cache) ~dir:cache_dir () in
-    let telemetry =
-      Batch.Telemetry.create ?log_path:telemetry_path ~total:(List.length job_list) ()
-    in
-    let replay =
-      if resume = None then None
-      else begin
-        let r = Batch.Journal.load ~dir:cache_dir ~run:run_hash in
-        if r = None then
-          Printf.eprintf
-            "sweep: no journal for this spec under %s; running from scratch\n"
-            cache_dir;
-        r
-      end
-    in
-    let journal =
-      if no_cache then None
-      else
-        Some
-          (Batch.Journal.create ~dir:cache_dir ~run:run_hash
-             ~total:(List.length job_list))
-    in
-    (* graceful shutdown: first signal closes the dispatch gate and
-       drains under --grace; a second signal force-quits like the shell
-       default (128+SIGINT) *)
-    let install_sweep_signals () =
-      let handle _ =
-        if Solve.Deadline.interrupt_requested () then Unix._exit 130
-        else Batch.Runner.request_stop ~grace
-      in
-      try
-        Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-      with Invalid_argument _ | Sys_error _ -> ()
-    in
-    install_sweep_signals ();
+    let telemetry = Batch.Telemetry.create ?log_path:telemetry_path ~total () in
+    install_drain_signals ~grace;
     let outcome = Batch.Runner.run cfg ~cache ~telemetry ?journal ?replay job_list in
     let results = outcome.Batch.Runner.results in
-    (* the journal doubles as the in-progress marker: delete on
-       completion, keep (resumable) on interrupt *)
-    (match journal with
-    | None -> ()
-    | Some j ->
-        if outcome.Batch.Runner.interrupted then Batch.Journal.close j
-        else Batch.Journal.finish_run j);
+    close_run ~interrupted:outcome.Batch.Runner.interrupted journal;
     (* bounded cache: gc after the run, pinning every key a still-live
        journal references (this run's, if interrupted, and any other
        in-progress run sharing the directory) *)
@@ -1043,12 +960,7 @@ let sweep_cmd =
             ("evicted_bytes", Batch.Json.int gs.Batch.Cache.gc_evicted_bytes);
             ("pinned", Batch.Json.int gs.Batch.Cache.gc_pinned);
           ];
-        Printf.eprintf
-          "cache gc: examined=%d evicted=%d evicted_bytes=%d pinned=%d \
-           entries=%d bytes=%d\n"
-          gs.Batch.Cache.gc_examined gs.Batch.Cache.gc_evicted
-          gs.Batch.Cache.gc_evicted_bytes gs.Batch.Cache.gc_pinned
-          gs.Batch.Cache.gc_entries gs.Batch.Cache.gc_bytes);
+        print_gc stderr gs);
     Batch.Telemetry.close telemetry;
     Batch.Report.print_all stdout results;
     (* --measure: deterministic CSV trend table after the report — same
@@ -1189,48 +1101,11 @@ let optimize_cmd =
       & info [ "penalty-weight" ] ~docv:"W"
           ~doc:"Constraint-violation penalty weight.")
   in
-  let resume_arg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "resume" ] ~docv:"DIR"
-          ~doc:
-            "Resume a killed optimization from the run journal in cache \
-             directory $(docv) (implies $(b,--cache-dir) $(docv)): \
-             journaled evals replay without re-execution and the search \
-             continues mid-trajectory.")
-  in
-  let inject_crash_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-crash-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: hard-kill the process (exit 66) once $(docv) \
-             evals have completed — the journal must make the run \
-             resumable.")
-  in
-  let inject_interrupt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-interrupt-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: simulate SIGINT delivery once $(docv) evals \
-             have completed.")
-  in
   let run path vars specs analysis node freq harmonics steps t_stop dt f_start
       f_stop ppd algo max_evals tol_x tol_f init_step weight cache_dir no_cache
       telemetry_path job_iters job_wall no_lint ordering stats resume
       job_deadline grace inject_crash inject_interrupt =
-    let deck_text =
-      try
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let text = really_input_string ic len in
-        close_in ic;
-        text
-      with Sys_error msg ->
-        Printf.eprintf "%s\n" msg;
-        exit exit_parse
-    in
+    let deck_text = read_deck path in
     let vars, spec =
       try
         let vars = List.map Opt.Loop.parse_var vars in
@@ -1301,26 +1176,9 @@ let optimize_cmd =
       let overrides =
         List.map (fun v -> (v.Opt.Loop.v_name, v.Opt.Loop.v_init)) vars
       in
-      match Deck.parse_string_located ~overrides deck_text with
-      | exception Deck.Parse_error (line, msg) ->
-          Printf.eprintf "%s:%d: %s\n" path line msg;
-          exit exit_parse
-      | nl, located ->
-          let ds = Lint.run nl located in
-          let text, fatal = Lint.report ~path ds in
-          if ds <> [] then Printf.eprintf "%s\n" text;
-          if fatal then begin
-            Printf.eprintf
-              "%s: %s; refusing to optimize (use --no-lint to override)\n"
-              path (Lint.summary ds);
-            exit exit_lint
-          end
+      ignore (preflight ~verb:"optimize" ~overrides ~lint:true path deck_text)
     end;
-    let cache_dir = Option.value resume ~default:cache_dir in
-    if resume <> None && no_cache then begin
-      Printf.eprintf "optimize: --resume needs the cache (drop --no-cache)\n";
-      exit exit_parse
-    end;
+    let cache_dir = run_cache_dir ~what:"optimize" ~cache_dir ~no_cache resume in
     if stats then La.Sparse_lu.reset_counts ();
     let cfg =
       {
@@ -1335,117 +1193,56 @@ let optimize_cmd =
         grace;
       }
     in
-    (match (inject_crash, inject_interrupt) with
-    | None, None -> ()
-    | crash_after, interrupt_after ->
-        Solve.Faults.arm_process
-          {
-            Solve.Faults.crash_after;
-            interrupt_after;
-            stall_job = None;
-            accept_stall = None;
-          });
-    let options =
-      { Opt.Optim.max_evals; tol_x; tol_f; init_step }
+    arm_chaos inject_crash inject_interrupt;
+    let options = { Opt.Optim.max_evals; tol_x; tol_f; init_step } in
+    let cache, replay, journal =
+      open_run ~what:"optimize" ~cache_dir ~no_cache ~resume
+        ~run_hash:(Opt.Loop.run_hash cfg ~spec ~analysis ~algo ~options ~weight vars)
+        ~total:max_evals
     in
-    let run_hash =
-      Opt.Loop.run_hash cfg ~spec ~analysis ~algo ~options ~weight vars
-    in
-    let cache = Batch.Cache.create ~enabled:(not no_cache) ~dir:cache_dir () in
-    let telemetry =
-      Batch.Telemetry.create ?log_path:telemetry_path ~total:max_evals ()
-    in
-    let replay =
-      if resume = None then None
-      else begin
-        let r = Batch.Journal.load ~dir:cache_dir ~run:run_hash in
-        if r = None then
-          Printf.eprintf
-            "optimize: no journal for this setup under %s; running from \
-             scratch\n"
-            cache_dir;
-        r
-      end
-    in
-    let journal =
-      if no_cache then None
-      else
-        Some (Batch.Journal.create ~dir:cache_dir ~run:run_hash ~total:max_evals)
-    in
-    let install_signals () =
-      let handle _ =
-        if Solve.Deadline.interrupt_requested () then Unix._exit 130
-        else Batch.Runner.request_stop ~grace
-      in
-      try
-        Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-        Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-      with Invalid_argument _ | Sys_error _ -> ()
-    in
-    install_signals ();
+    let telemetry = Batch.Telemetry.create ?log_path:telemetry_path ~total:max_evals () in
+    install_drain_signals ~grace;
     let outcome =
       Opt.Loop.run cfg ~cache ~telemetry ?journal ?replay ~emit:print_endline
         ~spec ~weight ~algo ~options ~analysis vars
     in
-    (match journal with
-    | None -> ()
-    | Some j ->
-        if outcome.Opt.Loop.o_interrupted then Batch.Journal.close j
-        else Batch.Journal.finish_run j);
+    close_run ~interrupted:outcome.Opt.Loop.o_interrupted journal;
     Batch.Telemetry.close telemetry;
     let reason, iterations =
       match outcome.Opt.Loop.o_result with
       | Some r -> (Opt.Optim.reason_to_string r.Opt.Optim.reason, r.Opt.Optim.iterations)
       | None -> ("interrupted", 0)
     in
-    print_endline
-      (Batch.Json.obj
-         [
-           ( "summary",
-             Batch.Json.obj
-               [
-                 ("algo", Batch.Json.str (Opt.Loop.algo_to_string algo));
-                 ("reason", Batch.Json.str reason);
-                 ("evals", Batch.Json.int outcome.Opt.Loop.o_evals);
-                 ("iterations", Batch.Json.int iterations);
-               ] );
-         ]);
-    (match outcome.Opt.Loop.o_best with
-    | None -> ()
-    | Some b ->
-        print_endline
-          (Batch.Json.obj
-             [
-               ( "best",
-                 Batch.Json.obj
-                   [
-                     ("eval", Batch.Json.int b.Opt.Loop.e_index);
-                     ("params", Batch.Expand.params_json b.Opt.Loop.e_params);
-                     ("penalty", Batch.Json.num b.Opt.Loop.e_score.Opt.Spec.penalty);
-                     ("met", Batch.Json.bool b.Opt.Loop.e_score.Opt.Spec.met);
-                   ] );
-             ]);
+    let module J = Batch.Json in
+    let line key fields = print_endline (J.obj [ (key, J.obj fields) ]) in
+    line "summary"
+      [
+        ("algo", J.str (Opt.Loop.algo_to_string algo));
+        ("reason", J.str reason);
+        ("evals", J.int outcome.Opt.Loop.o_evals);
+        ("iterations", J.int iterations);
+      ];
+    Option.iter
+      (fun (b : Opt.Loop.eval) ->
+        let score = b.Opt.Loop.e_score in
+        line "best"
+          [
+            ("eval", J.int b.Opt.Loop.e_index);
+            ("params", Batch.Expand.params_json b.Opt.Loop.e_params);
+            ("penalty", J.num score.Opt.Spec.penalty);
+            ("met", J.bool score.Opt.Spec.met);
+          ];
         List.iter
           (fun (v : Opt.Spec.verdict) ->
-            print_endline
-              (Batch.Json.obj
-                 [
-                   ( "verdict",
-                     Batch.Json.obj
-                       ([ ("clause", Batch.Json.str v.Opt.Spec.v_clause) ]
-                       @ [
-                           ( "value",
-                             match v.Opt.Spec.v_value with
-                             | None -> "null"
-                             | Some x -> Batch.Json.num x );
-                           ("pass", Batch.Json.bool v.Opt.Spec.v_pass);
-                         ]
-                       @
-                       match v.Opt.Spec.v_margin with
-                       | None -> []
-                       | Some m -> [ ("margin", Batch.Json.num m) ]) );
-                 ]))
-          b.Opt.Loop.e_score.Opt.Spec.verdicts);
+            line "verdict"
+              ([
+                 ("clause", J.str v.Opt.Spec.v_clause);
+                 ("value", Option.fold ~none:"null" ~some:J.num v.Opt.Spec.v_value);
+                 ("pass", J.bool v.Opt.Spec.v_pass);
+               ]
+              @ Option.fold ~none:[] ~some:(fun m -> [ ("margin", J.num m) ]) v.Opt.Spec.v_margin))
+          score.Opt.Spec.verdicts)
+      outcome.Opt.Loop.o_best;
     let cs = Batch.Cache.stats cache in
     Printf.eprintf
       "optimize: algo=%s evals=%d reason=%s | cache: hits=%d misses=%d \
@@ -1454,12 +1251,9 @@ let optimize_cmd =
       outcome.Opt.Loop.o_evals reason cs.Batch.Cache.hits cs.Batch.Cache.misses
       cs.Batch.Cache.stores;
     if outcome.Opt.Loop.o_interrupted then exit exit_interrupted;
-    let met =
-      match outcome.Opt.Loop.o_best with
-      | Some b -> b.Opt.Loop.e_score.Opt.Spec.met
-      | None -> false
-    in
-    if not met then exit exit_spec
+    match outcome.Opt.Loop.o_best with
+    | Some b when b.Opt.Loop.e_score.Opt.Spec.met -> ()
+    | _ -> exit exit_spec
   in
   Cmd.v (Cmd.info "optimize" ~doc ~man)
     Term.(
@@ -1509,12 +1303,7 @@ let cache_cmd =
           ~pinned:(fun k -> Hashtbl.mem pins k)
           ()
       in
-      Printf.printf
-        "cache gc: examined=%d evicted=%d evicted_bytes=%d pinned=%d \
-         entries=%d bytes=%d\n"
-        gs.Batch.Cache.gc_examined gs.Batch.Cache.gc_evicted
-        gs.Batch.Cache.gc_evicted_bytes gs.Batch.Cache.gc_pinned
-        gs.Batch.Cache.gc_entries gs.Batch.Cache.gc_bytes
+      print_gc stdout gs
     in
     Cmd.v (Cmd.info "gc" ~doc) Term.(const run $ dir_arg $ max_bytes $ max_entries)
   in
@@ -1561,11 +1350,6 @@ let serve_cmd =
          byte-identical to an uninterrupted run.";
     ]
   in
-  let workers_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N" ~doc:"Worker domains (parallel jobs).")
-  in
   let queue_cap_arg =
     Arg.(
       value & opt int 64
@@ -1602,31 +1386,6 @@ let serve_cmd =
           ~doc:"Largest accepted request frame; larger frames get a \
                 typed $(i,frame-too-large) rejection.")
   in
-  let inject_crash_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-crash-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: hard-kill the server (exit 66, no cleanup) \
-             once $(docv) jobs have completed — journals must make every \
-             in-flight sweep resumable.")
-  in
-  let inject_interrupt_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-interrupt-after" ] ~docv:"N"
-          ~doc:
-            "Testing hook: simulate SIGTERM once $(docv) jobs have \
-             completed, exercising the graceful drain deterministically.")
-  in
-  let inject_stall_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "inject-stall" ] ~docv:"JOB"
-          ~doc:
-            "Testing hook: wedge job $(docv) in a busy loop so \
-             --job-deadline (or the drain clamp) must quarantine it.")
-  in
   let inject_accept_stall_arg =
     Arg.(
       value & opt (some int) None
@@ -1639,21 +1398,9 @@ let serve_cmd =
       telemetry_path job_iters job_wall ordering job_deadline grace
       idle_timeout request_timeout max_frame inject_crash inject_interrupt
       inject_stall inject_accept_stall =
-    (match (inject_crash, inject_interrupt, inject_stall, inject_accept_stall)
-     with
-    | None, None, None, None -> ()
-    | crash_after, interrupt_after, stall_job, accept_stall ->
-        Solve.Faults.arm_process
-          { Solve.Faults.crash_after; interrupt_after; stall_job; accept_stall });
-    (* first signal begins the drain; a second force-quits shell-style *)
-    let handle _ =
-      if Solve.Deadline.interrupt_requested () then Unix._exit 130
-      else Solve.Deadline.begin_drain ~grace
-    in
-    (try
-       Sys.set_signal Sys.sigint (Sys.Signal_handle handle);
-       Sys.set_signal Sys.sigterm (Sys.Signal_handle handle)
-     with Invalid_argument _ | Sys_error _ -> ());
+    arm_chaos ?stall_job:inject_stall ?accept_stall:inject_accept_stall inject_crash
+      inject_interrupt;
+    install_drain_signals ~grace;
     let cfg =
       {
         Serve.Server.socket_path = socket;
@@ -1680,7 +1427,7 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ socket_arg $ workers_arg $ queue_cap_arg
+      const run $ socket_arg $ jobs_arg $ queue_cap_arg
       $ client_inflight_arg $ cache_dir_arg $ no_cache_arg $ telemetry_arg
       $ job_iters_arg $ job_wall_arg $ ordering_arg $ job_deadline_arg
       $ grace_arg $ idle_timeout_arg $ request_timeout_arg $ max_frame_arg
@@ -1737,17 +1484,7 @@ let client_cmd =
     let doc = "submit a sweep and stream the report back" in
     let run ccfg path params corners analyses node freq harmonics steps t_stop
         dt f_start f_stop ppd no_lint =
-      let deck_text =
-        try
-          let ic = open_in path in
-          let len = in_channel_length ic in
-          let text = really_input_string ic len in
-          close_in ic;
-          text
-        with Sys_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit exit_parse
-      in
+      let deck_text = read_deck path in
       let submit =
         {
           Serve.Protocol.s_deck = deck_text;
@@ -1837,40 +1574,42 @@ let client_cmd =
 let run_cmd =
   let doc = "run every directive embedded in the deck" in
   let run path no_lint =
-    let nl, directives = load ~no_lint path in
-    let c = Mna.build nl in
+    let deck, c = one_job ~no_lint ~stats:false path in
+    let nl = deck.Pipeline.netlist and directives = List.map snd deck.Pipeline.directives in
     Printf.printf "deck: %d nodes (%s), %d devices, %d directives\n\n"
-      (Netlist.node_count nl) (print_nodes nl)
+      (Netlist.node_count nl)
+      (String.concat ", " (List.init (Netlist.node_count nl) (Netlist.node_name nl)))
       (List.length (Netlist.devices nl))
       (List.length directives);
-    let print_nodes_of = function
-      | Deck.Print nodes -> nodes
-      | _ -> []
+    let requested =
+      List.concat_map (function Deck.Print nodes -> nodes | _ -> []) directives
     in
-    let requested = List.concat_map print_nodes_of directives in
-    let out_node = match requested with n :: _ -> n | [] -> "out" in
+    let node = match requested with n :: _ -> n | [] -> "out" in
+    (* a directive the deck cannot serve (.ac without a voltage source,
+       .hb without a periodic source) is noted and skipped *)
+    let directive name request print =
+      match Pipeline.run ~certify:1.0 c request with
+      | Pipeline.Failed
+          (Pipeline.Engine { Sup.cause = Sup.Unsupported msg; f_attempts = []; _ }) ->
+          Printf.eprintf ".%s: %s\n" name msg
+      | Pipeline.Failed f -> die f
+      | Pipeline.Converged r -> print r
+    in
     List.iter
-      (fun d ->
-        match d with
-        | Deck.Dc_op -> run_dc c
-        | Deck.Tran { t_stop; dt } -> run_tran c ~t_stop ~dt ~nodes:[ out_node ]
-        | Deck.Ac_sweep { f_start; f_stop } -> begin
-            (* first voltage source is the stimulus *)
-            match
-              List.find_opt
-                (function Device.Vsource _ -> true | _ -> false)
-                (Netlist.devices nl)
-            with
-            | Some src -> run_ac c ~f_start ~f_stop ~source:(Device.name src) ~node:out_node
-            | None -> Printf.eprintf ".ac: no voltage source in deck\n"
-          end
-        | Deck.Hb { harmonics } -> begin
-            match Mna.fundamentals c with
-            | freq :: _ -> run_hb c ~freq ~node:out_node ~harmonics
-            | [] -> Printf.eprintf ".hb: no periodic source in deck\n"
-          end
+      (function
+        | Deck.Dc_op -> directive "dc" Pipeline.Dc (print_dc c)
+        | Deck.Tran { t_stop; dt } ->
+            directive "tran" (Pipeline.Tran { t_stop; dt }) (print_tran c ~nodes:[ node ])
+        | Deck.Ac_sweep { f_start; f_stop } ->
+            let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
+            directive "ac" (Pipeline.Ac { source = None; freqs }) (print_ac c ~node)
+        | Deck.Hb { harmonics } ->
+            directive "hb"
+              (Pipeline.Hb { freq = None; harmonics; solver = Rf.Hb.Direct })
+              (print_hb c ~node ~harmonics)
         | Deck.Noise_sweep { f_start; f_stop } ->
-            run_noise c ~f_start ~f_stop ~node:out_node
+            let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
+            directive "noise" (Pipeline.Noise { node; freqs }) (print_noise c ~freqs)
         | Deck.Print _ | Deck.Param _ -> ())
       directives
   in

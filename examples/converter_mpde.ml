@@ -16,6 +16,10 @@
 open Rfkit
 open Rfkit_circuits
 
+let converged = function
+  | Solve.Supervisor.Converged (r, _) -> r
+  | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
+
 let () =
   let p = Converter.default_params in
   let c = Converter.build p in
@@ -27,7 +31,7 @@ let () =
   let mf, t_mf =
     (fun f -> let t0 = Unix.gettimeofday () in let r = f () in (r, Unix.gettimeofday () -. t0))
       (fun () ->
-        Rf.Mfdtd.solve
+        converged @@ Rf.Mfdtd.solve_outcome
           ~options:{ Rf.Mfdtd.default_options with n1 = 16; n2 = 40 }
           c ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm)
   in
@@ -38,7 +42,7 @@ let () =
   let hs, t_hs =
     (fun f -> let t0 = Unix.gettimeofday () in let r = f () in (r, Unix.gettimeofday () -. t0))
       (fun () ->
-        Rf.Hs.solve
+        converged @@ Rf.Hs.solve_outcome
           ~options:{ Rf.Hs.default_options with n1 = 16; steps2 = 40 }
           c ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm)
   in
@@ -68,7 +72,7 @@ let () =
 
   (* --- time-domain envelope: start-up ---------------------------------- *)
   let env =
-    Rf.Envelope.run
+    converged @@ Rf.Envelope.run_outcome
       ~options:{ Rf.Envelope.steps2 = 40; n1 = 30 }
       c ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm
       ~t1_stop:(1.0 /. p.Converter.f_mod)

@@ -8,6 +8,10 @@
 open Rfkit
 open Circuit
 
+let converged = function
+  | Solve.Supervisor.Converged (r, _) -> r
+  | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
+
 let () =
   (* 1. describe the circuit ------------------------------------------- *)
   let nl = Netlist.create () in
@@ -22,7 +26,7 @@ let () =
     (Mna.size c) (Mna.n_nodes c);
 
   (* 2. DC operating point --------------------------------------------- *)
-  let x_dc = Dc.solve c in
+  let x_dc = converged (Dc.solve_outcome c) in
   Printf.printf "DC operating point (sources at their average, diode weakly on):\n";
   List.iter
     (fun node -> Printf.printf "  v(%s) = %.6f V\n" node x_dc.(Mna.node c node))
@@ -46,11 +50,7 @@ let () =
     h;
 
   (* 5. harmonic balance: the periodic steady state directly ------------ *)
-  let hb =
-    match Rf.Hb.solve_outcome c ~freq:10e6 with
-    | Solve.Supervisor.Converged (res, _) -> res
-    | Solve.Supervisor.Failed f -> failwith (Solve.Supervisor.failure_to_string f)
-  in
+  let hb = converged (Rf.Hb.solve_outcome c ~freq:10e6) in
   Printf.printf "\nharmonic balance (%d Newton iterations, residual %.1e):\n"
     hb.Rf.Hb.newton_iters hb.Rf.Hb.residual;
   for k = 0 to 4 do

@@ -18,12 +18,10 @@ open Rfkit_circuit
 module La = Rfkit_la
 module Rf = Rfkit_rf
 module Sup = Rfkit_solve.Supervisor
-module Cascade = Rfkit_solve.Cascade
-module Certify = Rfkit_solve.Certify
 module Deadline = Rfkit_solve.Deadline
 module Faults = Rfkit_solve.Faults
 
-type status = Ok | Suspect | Failed
+type status = Pipeline.status = Ok | Suspect | Failed
 
 type job_result = {
   job : Expand.job;
@@ -81,17 +79,6 @@ let status_of_payload payload =
   then Suspect
   else Failed
 
-let verdict cert = if Certify.is_certified cert then ("certified", Ok) else ("suspect", Suspect)
-
-(* ---------------------------------------------------------- engines -- *)
-
-let resolve_freq c = function
-  | Some f -> f
-  | None -> (
-      match Mna.fundamentals c with
-      | f :: _ -> f
-      | [] -> failwith "no periodic source in the deck (supply --freq)")
-
 let dc_data c x =
   let nl = Mna.netlist c in
   let nodes = Netlist.node_count nl in
@@ -120,7 +107,28 @@ let dc_data c x =
   in
   Json.obj (voltages @ currents @ [ ("power", Json.num power) ])
 
-let harmonics_data sol node n =
+let ac_data c node (res : Ac.result) =
+  Json.obj
+    [
+      ("freq", Json.arr (Array.to_list (Array.map Json.num res.Ac.freqs)));
+      ( "mag",
+        Json.arr
+          (Array.to_list
+             (Array.map (fun z -> Json.num (La.Cx.abs z)) (Ac.transfer c res node))) );
+    ]
+
+let tran_data c node (res : Tran.result) =
+  let trace = Tran.voltage_trace c res node in
+  let n = Array.length trace in
+  Json.obj
+    [
+      ("t_end", Json.num res.Tran.times.(n - 1));
+      ("v_end", Json.num trace.(n - 1));
+      ("v_min", Json.num (Array.fold_left min trace.(0) trace));
+      ("v_max", Json.num (Array.fold_left max trace.(0) trace));
+    ]
+
+let harmonics_data node n sol =
   Json.obj
     [
       ( "harmonics",
@@ -129,146 +137,67 @@ let harmonics_data sol node n =
                Json.num (Rf.Pss.harmonic_amplitude sol node k))) );
     ]
 
+(* ------------------------------------------------------------ execute -- *)
+
+(* One job: the pipeline's parse (no lint — the sweep linted its first
+   point up front) and one Mna.build, one table request, one payload. *)
 let execute cfg (job : Expand.job) =
-  let nl, _ = Deck.parse_string ~overrides:job.params cfg.deck_text in
-  let c = Mna.build nl in
-  Mna.set_ordering c cfg.ordering;
-  let analysis = job.analysis in
-  let fail_sup (f : Sup.failure) =
-    ( Failed,
-      payload_failed ~analysis ~cause:(Sup.cause_to_string f.Sup.cause),
-      Cascade.failure_iterations f,
-      0 )
-  in
-  let ((_, _, newton, krylov) as result) =
-  match analysis with
-  | Spec.Dc -> (
-      match Dc.solve_outcome ?budget:cfg.budget c with
-      | Sup.Converged (x, rep) ->
-          let certificate, status =
-            verdict (Dc.certify ~tol_scale:cfg.tol_scale c x)
-          in
-          let newton = rep.Sup.total_iterations
-          and krylov = rep.Sup.stats.Sup.krylov_iterations in
-          ( status,
-            payload_ok ~status ~analysis ~engine:"dc" ~certificate ~newton
-              ~krylov ~data:(dc_data c x),
-            newton, krylov )
-      | Sup.Failed f -> fail_sup f)
-  | Spec.Ac { f_start; f_stop; points_per_decade } -> (
-      match
-        List.find_opt
-          (function Device.Vsource _ -> true | _ -> false)
-          (Netlist.devices nl)
-      with
-      | None -> (Failed, payload_failed ~analysis ~cause:"no voltage source in deck", 0, 0)
-      | Some src -> (
-          let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade in
-          (* supervised: a singular linearized system or a mid-sweep
-             interrupt/deadline comes back typed instead of as a bare
-             exception unwinding the worker domain *)
-          match Ac.sweep_outcome c ~source:(Device.name src) ~freqs with
-          | Sup.Converged (res, _) ->
-              let h = Ac.transfer c res cfg.node in
-              let data =
-                Json.obj
-                  [
-                    ("freq", Json.arr (Array.to_list (Array.map Json.num freqs)));
-                    ( "mag",
-                      Json.arr
-                        (Array.to_list
-                           (Array.map (fun z -> Json.num (La.Cx.abs z)) h)) );
-                  ]
-              in
-              ( Ok,
-                payload_ok ~status:Ok ~analysis ~engine:"ac" ~certificate:"none"
-                  ~newton:0 ~krylov:0 ~data,
-                0, 0 )
-          | Sup.Failed f -> fail_sup f))
-  | Spec.Tran { t_stop; dt } -> (
-      match Tran.run_outcome ?budget:cfg.budget c ~t_stop ~dt with
-      | Sup.Converged (res, rep) ->
-          let certificate, status =
-            verdict (Tran.certify ~tol_scale:cfg.tol_scale c res)
-          in
-          let trace = Tran.voltage_trace c res cfg.node in
-          let n = Array.length trace in
-          let v_min = Array.fold_left min trace.(0) trace
-          and v_max = Array.fold_left max trace.(0) trace in
-          let data =
-            Json.obj
-              [
-                ("t_end", Json.num res.Tran.times.(n - 1));
-                ("v_end", Json.num trace.(n - 1));
-                ("v_min", Json.num v_min);
-                ("v_max", Json.num v_max);
-              ]
-          in
-          let newton = rep.Sup.total_iterations
-          and krylov = rep.Sup.stats.Sup.krylov_iterations in
-          ( status,
-            payload_ok ~status ~analysis ~engine:"tran" ~certificate ~newton
-              ~krylov ~data,
-            newton, krylov )
-      | Sup.Failed f -> fail_sup f)
-  | Spec.Hb { freq; harmonics } -> (
-      let freq = resolve_freq c freq in
-      let n_samples = La.Fft.next_pow2 (4 * harmonics) in
-      match
-        Rf.Pss.solve_outcome ?budget:cfg.budget
-          ~chain:(Rf.Pss.default_chain ~n_samples ())
-          c ~freq
-      with
-      | Cascade.Completed (sol, rep) ->
-          let certificate, status =
-            verdict (Rf.Pss.certify ~tol_scale:cfg.tol_scale sol)
-          in
-          let newton = rep.Cascade.total_iterations
-          and krylov =
-            rep.Cascade.winner_report.Sup.stats.Sup.krylov_iterations
-          in
-          ( status,
-            payload_ok ~status ~analysis ~engine:rep.Cascade.winner ~certificate
-              ~newton ~krylov
-              ~data:(harmonics_data sol cfg.node harmonics),
-            newton, krylov )
-      | Cascade.Exhausted f ->
-          ( Failed,
-            payload_failed ~analysis ~cause:(Sup.cause_to_string f.Cascade.x_cause),
-            f.Cascade.x_total_iterations, 0 ))
-  | Spec.Shooting { freq; steps } -> (
-      let freq = resolve_freq c freq in
-      let options = { Rf.Shooting.default_options with steps_per_period = steps } in
-      match Rf.Shooting.solve_outcome ?budget:cfg.budget ~options c ~freq with
-      | Sup.Converged (res, rep) ->
-          let sol = Rf.Pss.of_shooting res in
-          let certificate, status =
-            verdict (Rf.Pss.certify ~tol_scale:cfg.tol_scale sol)
-          in
-          let newton = rep.Sup.total_iterations
-          and krylov = rep.Sup.stats.Sup.krylov_iterations in
-          ( status,
-            payload_ok ~status ~analysis ~engine:"shooting" ~certificate ~newton
-              ~krylov
-              ~data:(harmonics_data sol cfg.node 8),
-            newton, krylov )
-      | Sup.Failed f -> fail_sup f)
-  in
-  (* the stats line goes to stderr (never part of the deterministic stdout
-     contract) *)
-  if cfg.stats then begin
-    let x = La.Vec.create (Mna.size c) in
-    let g = Mna.jac_g_sparse c x in
-    Printf.eprintf
-      "stats: job=%d analysis=%s unknowns=%d nnz(G)=%d newton=%d gmres=%d \
-       fill_nnz=%d ordering=%s\n"
-      job.Expand.id
-      (Spec.analysis_name analysis)
-      (Mna.size c) (La.Sparse.nnz g) newton krylov
-      (La.Sparse_lu.fill_nnz ())
-      (Rfkit_struct.Order.mode_to_string cfg.ordering)
-  end;
-  result
+  let analysis = job.Expand.analysis in
+  let failed cause newton = (Failed, payload_failed ~analysis ~cause, newton, 0) in
+  match Pipeline.prepare ~overrides:job.Expand.params ~lint:false cfg.deck_text with
+  | Error refusal -> failed (Pipeline.refusal_to_string refusal) 0
+  | Ok deck ->
+      let c = Pipeline.circuit ~ordering:cfg.ordering deck in
+      let finish req data =
+        let outcome = Pipeline.run ?budget:cfg.budget ~certify:cfg.tol_scale c req in
+        match outcome with
+        | Pipeline.Failed f ->
+            failed
+              (Sup.cause_to_string (Pipeline.failure_cause f))
+              (Pipeline.failure_iterations f)
+        | Pipeline.Converged r ->
+            let status = Pipeline.status outcome in
+            let certificate =
+              match r.Pipeline.certificate with
+              | None -> "none"
+              | Some _ -> if status = Suspect then "suspect" else "certified"
+            in
+            ( status,
+              payload_ok ~status ~analysis ~engine:r.Pipeline.engine ~certificate
+                ~newton:r.Pipeline.newton ~krylov:r.Pipeline.krylov
+                ~data:(data r.Pipeline.value),
+              r.Pipeline.newton,
+              r.Pipeline.krylov )
+      in
+      let ((_, _, newton, krylov) as result) =
+        match analysis with
+        | Spec.Dc -> finish Pipeline.Dc (dc_data c)
+        | Spec.Ac { f_start; f_stop; points_per_decade } ->
+            let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade in
+            finish (Pipeline.Ac { source = None; freqs }) (ac_data c cfg.node)
+        | Spec.Tran { t_stop; dt } ->
+            finish (Pipeline.Tran { t_stop; dt }) (tran_data c cfg.node)
+        | Spec.Hb { freq; harmonics } ->
+            finish (Pipeline.Pss { freq; harmonics }) (harmonics_data cfg.node harmonics)
+        | Spec.Shooting { freq; steps } ->
+            finish (Pipeline.Shooting { freq; steps }) (fun res ->
+                harmonics_data cfg.node 8 (Rf.Pss.of_shooting res))
+      in
+      (* the stats line goes to stderr (never part of the deterministic
+         stdout contract) *)
+      if cfg.stats then begin
+        let x = La.Vec.create (Mna.size c) in
+        let g = Mna.jac_g_sparse c x in
+        Printf.eprintf
+          "stats: job=%d analysis=%s unknowns=%d nnz(G)=%d newton=%d gmres=%d \
+           fill_nnz=%d ordering=%s\n"
+          job.Expand.id
+          (Spec.analysis_name analysis)
+          (Mna.size c) (La.Sparse.nnz g) newton krylov
+          (La.Sparse_lu.fill_nnz ())
+          (Rfkit_struct.Order.mode_to_string cfg.ordering)
+      end;
+      result
 
 (* ------------------------------------------------------------- pool -- *)
 
@@ -290,6 +219,20 @@ let job_key cfg (job : Expand.job) =
            last float digits: cached payloads must not cross modes *)
         "ordering=" ^ Rfkit_struct.Order.mode_to_string cfg.ordering;
       ]
+
+(* run identity: a hash over every job's cache key (deck, params,
+   analysis, engine options) plus the job count and the deadline config —
+   anything that can change what the journal records. A --resume against
+   a different spec simply finds no journal. *)
+let run_hash cfg jobs =
+  Hash.digest
+    (String.concat "\n"
+       (Printf.sprintf "jobs=%d" (List.length jobs)
+       :: Printf.sprintf "deadline=%s"
+            (match cfg.deadline with
+            | None -> "none"
+            | Some s -> Printf.sprintf "%.9g" s)
+       :: List.map (job_key cfg) jobs))
 
 let status_name = function Ok -> "ok" | Suspect -> "suspect" | Failed -> "failed"
 

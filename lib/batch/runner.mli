@@ -1,12 +1,16 @@
 (** Parallel sweep execution across OCaml 5 domains.
 
     A bounded pool of [domains] workers drains the job list through an
-    atomic cursor; each job parses the deck with its parameter bindings,
-    runs its engine under the {!Rfkit_solve.Supervisor} (HB through the
-    whole PSS {!Rfkit_solve.Cascade}), certifies the result a
-    posteriori, and lands a canonical JSON payload in a slot array
-    indexed by job id. Report order therefore never depends on the
-    domain count — the determinism contract {!Report} relies on.
+    atomic cursor. Each job is one pass through the {!Pipeline}: parse
+    the deck with the job's parameter bindings (no lint: the sweep lints
+    its first point before dispatch), one [Mna.build], one request to the
+    analysis table ([Spec.Hb] runs the whole PSS cascade), and a
+    canonical JSON payload built from the typed outcome. Payloads land in
+    a slot array indexed by job id, so report order never depends on the
+    domain count — the determinism contract {!Report} relies on. A
+    failed job carries its typed cause in the payload; only a bug
+    outside the engines can still surface as an ["exception: ..."]
+    cause.
 
     Jobs are memoized through {!Cache} (payloads carry only key-covered
     content). Failed jobs are recorded, not cached and not fatal: a
@@ -23,7 +27,7 @@
     {e discarded} — journaling them as failed would make the resumed
     report differ from an uninterrupted run's. *)
 
-type status = Ok | Suspect | Failed
+type status = Pipeline.status = Ok | Suspect | Failed
 
 type job_result = {
   job : Expand.job;
@@ -71,8 +75,17 @@ val request_stop : grace:float -> unit
 (** Signal-handler safe. Stop dispatching new jobs and start the drain
     clock; see {!Rfkit_solve.Deadline.begin_drain}. *)
 
+val status_name : status -> string
+(** ["ok"], ["suspect"] or ["failed"], as payloads and journals spell it. *)
+
 val job_key : config -> Expand.job -> string
 (** The job's content-addressed cache key (exposed for tests). *)
+
+val run_hash : config -> Expand.job list -> string
+(** The run identity a sweep journals under: a hash over the job count,
+    the [deadline] setting and every job's {!job_key}. [rfsim sweep] and
+    the service compute it the same way, so a sweep resumes across the
+    two. *)
 
 val run_one :
   config ->

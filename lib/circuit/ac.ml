@@ -27,16 +27,28 @@ let factor_at ?cache c x_op freq =
   | Some cache -> Csparse_lu.factor_cached ?perm cache m
   | None -> Csparse_lu.factor ?perm m
 
-let op ?x_op c = match x_op with Some v -> v | None -> Dc.solve c
+module Supervisor = Rfkit_solve.Supervisor
+module Deadline = Rfkit_solve.Deadline
 
-let sweep ?x_op c ~source ~freqs =
-  let x0 = op ?x_op c in
-  let b = Cvec.of_real (Mna.source_pattern c source) in
-  let cache = ref None in
-  let response =
-    Array.map (fun f -> Csparse_lu.solve (factor_at ~cache c x0 f) b) freqs
-  in
-  { freqs; response }
+(* The operating point the linearization is taken at, as a typed outcome
+   of the DC supervisor. *)
+let op_outcome ?x_op c =
+  match x_op with
+  | Some v -> Ok v
+  | None -> (
+      match Dc.solve_outcome c with
+      | Supervisor.Converged (x, _) -> Ok x
+      | Supervisor.Failed f -> Error f)
+
+(* the raising entry points re-raise any typed failure *)
+let get = function
+  | Supervisor.Converged (v, _) -> v
+  | Supervisor.Failed f -> Rfkit_solve.Error.raise_failure ~engine:f.Supervisor.f_engine f
+
+let op ?x_op c =
+  match op_outcome ?x_op c with
+  | Ok x -> x
+  | Error f -> Rfkit_solve.Error.raise_failure ~engine:"dc" f
 
 let transfer c res name =
   let idx = Mna.node c name in
@@ -46,18 +58,51 @@ let solve_at ?x_op c ~rhs ~freq =
   let x0 = op ?x_op c in
   Csparse_lu.solve (factor_at c x0 freq) (Cvec.of_real rhs)
 
-let output_noise ?x_op c ~node ~freqs =
-  let x0 = op ?x_op c in
+(* AC is a chain of direct linearized solves, so the only ladder rung is
+   Base — but running under the supervisor gives typed outcomes for the
+   ways a linear sweep can still die: a failed DC operating point
+   (returned as the DC supervisor's own failure, cause and ladder
+   intact), a singular linearized system and a SIGINT/deadline poll
+   between frequencies. One poll per frequency bounds the abort latency
+   at a single factor+solve. *)
+let supervised ?x_op c ~engine ~freqs at =
+  match op_outcome ?x_op c with
+  | Error f -> Supervisor.Failed f
+  | Ok x0 ->
+      let at = at x0 and cache = ref None in
+      Supervisor.run ~engine ~ladder:[ Supervisor.Base ]
+        ~attempt:(fun _ ~iter_cap:_ ->
+          match
+            Array.map
+              (fun f ->
+                Deadline.check ();
+                at (factor_at ~cache c x0 f) f)
+              freqs
+          with
+          | values ->
+              Ok
+                ( values,
+                  { Supervisor.iterations = Array.length freqs; residual = 0.0;
+                    krylov_iterations = 0 } )
+          | exception Clu.Singular ->
+              Error (Supervisor.Singular_jacobian, Supervisor.no_stats)
+          | exception Sparse_lu.Singular ->
+              Error (Supervisor.Singular_jacobian, Supervisor.no_stats))
+        ()
+
+let sweep_outcome ?x_op c ~source ~freqs =
+  let b = Cvec.of_real (Mna.source_pattern c source) in
+  Supervisor.map
+    (fun response -> { freqs; response })
+    (supervised ?x_op c ~engine:"ac" ~freqs (fun _ lufact _ -> Csparse_lu.solve lufact b))
+
+let output_noise_outcome ?x_op c ~node ~freqs =
   let idx = Mna.node c node in
   let sources = Mna.noise_sources c in
-  let cache = ref None in
-  Array.map
-    (fun f ->
-      let lufact = factor_at ~cache c x0 f in
+  supervised ?x_op c ~engine:"ac-noise" ~freqs (fun x0 lufact f ->
       Array.fold_left
         (fun acc src ->
-          let pattern = Cvec.of_real (Mna.noise_pattern c src) in
-          let h = Csparse_lu.solve lufact pattern in
+          let h = Csparse_lu.solve lufact (Cvec.of_real (Mna.noise_pattern c src)) in
           let flicker =
             if src.Device.flicker_corner > 0.0 && f > 0.0 then
               1.0 +. (src.Device.flicker_corner /. f)
@@ -65,72 +110,9 @@ let output_noise ?x_op c ~node ~freqs =
           in
           acc +. (Cx.abs2 h.(idx) *. src.Device.psd_at x0 *. flicker))
         0.0 sources)
-    freqs
 
-(* Supervised variants: AC is a chain of direct linearized solves, so
-   the only ladder rung is Base — but running under the supervisor gives
-   the sweep runner (and the service) typed outcomes for the two ways a
-   linear sweep can still die: a singular linearized system and a
-   SIGINT/deadline poll between frequencies. One poll per frequency
-   bounds the abort latency at a single factor+solve. *)
-module Supervisor = Rfkit_solve.Supervisor
-module Deadline = Rfkit_solve.Deadline
-
-let supervised ~engine body =
-  Supervisor.run ~engine
-    ~ladder:[ Supervisor.Base ]
-    ~attempt:(fun _ ~iter_cap:_ ->
-      match body () with
-      | value, polls ->
-          Ok
-            ( value,
-              { Supervisor.iterations = polls; residual = 0.0;
-                krylov_iterations = 0 } )
-      | exception Clu.Singular ->
-          Error (Supervisor.Singular_jacobian, Supervisor.no_stats)
-      | exception Sparse_lu.Singular ->
-          Error (Supervisor.Singular_jacobian, Supervisor.no_stats))
-    ()
-
-let sweep_outcome ?x_op c ~source ~freqs =
-  supervised ~engine:"ac" (fun () ->
-      let x0 = op ?x_op c in
-      let b = Cvec.of_real (Mna.source_pattern c source) in
-      let cache = ref None in
-      let response =
-        Array.map
-          (fun f ->
-            Deadline.check ();
-            Csparse_lu.solve (factor_at ~cache c x0 f) b)
-          freqs
-      in
-      ({ freqs; response }, Array.length freqs))
-
-let output_noise_outcome ?x_op c ~node ~freqs =
-  supervised ~engine:"ac-noise" (fun () ->
-      let x0 = op ?x_op c in
-      let idx = Mna.node c node in
-      let sources = Mna.noise_sources c in
-      let cache = ref None in
-      let psd =
-        Array.map
-          (fun f ->
-            Deadline.check ();
-            let lufact = factor_at ~cache c x0 f in
-            Array.fold_left
-              (fun acc src ->
-                let pattern = Cvec.of_real (Mna.noise_pattern c src) in
-                let h = Csparse_lu.solve lufact pattern in
-                let flicker =
-                  if src.Device.flicker_corner > 0.0 && f > 0.0 then
-                    1.0 +. (src.Device.flicker_corner /. f)
-                  else 1.0
-                in
-                acc +. (Cx.abs2 h.(idx) *. src.Device.psd_at x0 *. flicker))
-              0.0 sources)
-          freqs
-      in
-      (psd, Array.length freqs))
+let sweep ?x_op c ~source ~freqs = get (sweep_outcome ?x_op c ~source ~freqs)
+let output_noise ?x_op c ~node ~freqs = get (output_noise_outcome ?x_op c ~node ~freqs)
 
 let two_port_z ?x_op c ~port1 ~port2 ~freq =
   let x0 = op ?x_op c in

@@ -22,6 +22,8 @@ val system_at : Mna.t -> Rfkit_la.Vec.t -> float -> Rfkit_la.Cmat.t
     inspection only; no solve path densifies anymore. *)
 
 val sweep : ?x_op:Rfkit_la.Vec.t -> Mna.t -> source:string -> freqs:float array -> result
+(** {!sweep_outcome}, raising {!Rfkit_solve.Error.No_convergence} on a
+    failure (of the DC operating point or of the sweep). *)
 
 val transfer : Mna.t -> result -> string -> Rfkit_la.Cx.t array
 (** Complex node-voltage transfer of a named node across the sweep. *)
@@ -33,9 +35,7 @@ val solve_at :
 
 val output_noise :
   ?x_op:Rfkit_la.Vec.t -> Mna.t -> node:string -> freqs:float array -> float array
-(** Output noise voltage PSD (V^2/Hz) at a node: sums
-    [|H_k(jw)|^2 * S_k] over all device noise generators [k], each solved
-    through the linearized network. *)
+(** {!output_noise_outcome}, raising like {!sweep}. *)
 
 val sweep_outcome :
   ?x_op:Rfkit_la.Vec.t ->
@@ -43,10 +43,12 @@ val sweep_outcome :
   source:string ->
   freqs:float array ->
   result Rfkit_solve.Supervisor.outcome
-(** {!sweep} under the supervisor (engine ["ac"]): a singular linearized
-    system becomes a typed [Singular_jacobian] failure, and a pending
-    interrupt or per-job deadline aborts between frequencies — the sweep
-    runner and the service never see a bare exception from AC. *)
+(** The AC sweep under the supervisor (engine ["ac"]), linearized at
+    [x_op] or at the DC operating point: a failed DC comes back as the DC
+    supervisor's own failure, a singular linearized system as a typed
+    [Singular_jacobian] failure, and a pending interrupt or per-job
+    deadline aborts between frequencies — the sweep runner and the
+    service never see a bare exception from AC. *)
 
 val output_noise_outcome :
   ?x_op:Rfkit_la.Vec.t ->
@@ -54,8 +56,10 @@ val output_noise_outcome :
   node:string ->
   freqs:float array ->
   float array Rfkit_solve.Supervisor.outcome
-(** {!output_noise} under the supervisor (engine ["ac-noise"]), same
-    typed-abort contract as {!sweep_outcome}. *)
+(** Output noise voltage PSD (V^2/Hz) at a node: sums
+    [|H_k(jw)|^2 * S_k] over all device noise generators [k], each solved
+    through the linearized network. Supervised (engine ["ac-noise"]) with
+    the typed-failure contract of {!sweep_outcome}. *)
 
 val two_port_z :
   ?x_op:Rfkit_la.Vec.t ->

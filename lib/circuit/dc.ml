@@ -1,8 +1,6 @@
 open Rfkit_la
 open Rfkit_solve
 
-exception No_convergence = Error.No_convergence
-
 type linear_solver = Dense_lu | Sparse_direct | Gmres_ilu
 
 type options = {
@@ -239,11 +237,3 @@ let certify ?(tol_scale = 1.0) c (x : Vec.t) =
       Certify.check ~name:"kcl-residual" ~measured:residual
         ~threshold:(1e-6 *. tol_scale);
     ]
-
-let solve_b ?options ?x0 c b =
-  match solve_b_outcome ?options ?x0 c b with
-  | Supervisor.Converged (x, _) -> x
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
-
-let solve ?options ?x0 c = solve_b ?options ?x0 c (Mna.dc_b c)
-let solve_at ?options ?x0 c t = solve_b ?options ?x0 c (Mna.eval_b c t)

@@ -7,9 +7,6 @@
     wall-clock budgets; the winning strategy and per-attempt trace come
     back in the report. *)
 
-exception No_convergence of Rfkit_solve.Error.t
-(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. *)
-
 type linear_solver =
   | Dense_lu       (** dense Jacobian + dense LU: the pre-refactor path,
                        kept as a cross-check and small-circuit fallback *)
@@ -59,11 +56,3 @@ val certify :
     excitation scale, against a 1e-6 relative threshold. [tol_scale]
     multiplies every threshold (tighten for an engineered-Suspect test,
     loosen for sloppy models). *)
-
-val solve : ?options:options -> ?x0:Rfkit_la.Vec.t -> Mna.t -> Rfkit_la.Vec.t
-(** Exception shim over {!solve_outcome}.
-    @raise No_convergence with the attempt ladder when every rung fails. *)
-
-val solve_at : ?options:options -> ?x0:Rfkit_la.Vec.t -> Mna.t -> float -> Rfkit_la.Vec.t
-(** Like {!solve} but with sources evaluated at time [t] (the implicit
-    time-step solves of the multi-time methods reuse this Newton core). *)

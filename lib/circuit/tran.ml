@@ -85,7 +85,12 @@ let implicit_step ?(tol = 1e-9) ?(max_iter = 50) ?(solver = Dc.Sparse_direct)
   x
 
 let initial_state ?x0 c =
-  match x0 with Some v -> Vec.copy v | None -> Dc.solve c
+  match x0 with
+  | Some v -> Vec.copy v
+  | None -> (
+      match Dc.solve_outcome c with
+      | Supervisor.Converged (x, _) -> x
+      | Supervisor.Failed f -> Error.raise_failure ~engine:"dc" f)
 
 let run ?(method_ = Trapezoidal) ?x0 ?(tol = 1e-9) ?solver c ~t_stop ~dt =
   let x0 = initial_state ?x0 c in

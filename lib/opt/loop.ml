@@ -39,10 +39,7 @@ exception Parse_error = Measure.Parse_error
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
-let number ~what s =
-  match Rfkit_circuit.Deck.parse_value (String.trim s) with
-  | v -> v
-  | exception Rfkit_circuit.Deck.Parse_error (_, msg) -> fail "%s: %s" what msg
+let number = Measure.number
 
 let parse_var s =
   let s = String.trim s in
@@ -179,11 +176,7 @@ let run (cfg : Runner.config) ~cache ~telemetry ?journal ?replay
           {
             e_index = job.Expand.id;
             e_params = params;
-            e_status =
-              (match r.Runner.status with
-              | Runner.Ok -> "ok"
-              | Runner.Suspect -> "suspect"
-              | Runner.Failed -> "failed");
+            e_status = Runner.status_name r.Runner.status;
             e_cached = r.Runner.cached || r.Runner.replayed;
             e_measures =
               List.map (fun (m, v) -> (Measure.to_string m, v)) looked;

@@ -34,6 +34,9 @@ type t =
 
 exception Parse_error of string
 
+val number : what:string -> string -> float
+(** A number in the deck grammar; {!Parse_error} names [what] otherwise. *)
+
 val parse : string -> t
 (** Parse the surface syntax: [gain@1meg], [gain_db@1e6], [bw3db],
     [ripple@1k..100k], [stopband@2e6..1e7], [thd], [fund], [harm_db@3],

@@ -29,10 +29,7 @@ exception Parse_error = Measure.Parse_error
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
-let number ~what s =
-  match Rfkit_circuit.Deck.parse_value (String.trim s) with
-  | v -> v
-  | exception Rfkit_circuit.Deck.Parse_error (_, msg) -> fail "%s: %s" what msg
+let number = Measure.number
 
 (* find a top-level [>=] or [<=]; measure arguments never contain them *)
 let split_op s =

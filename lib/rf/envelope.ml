@@ -2,8 +2,6 @@ open Rfkit_la
 open Rfkit_circuit
 open Rfkit_solve
 
-exception No_convergence = Error.No_convergence
-
 let engine = "envelope"
 
 type options = { steps2 : int; n1 : int }
@@ -67,11 +65,6 @@ let run_outcome ?budget ?(options = default_options) c ~f1 ~f2 ~t1_stop =
             } )
       with Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats))
     ()
-
-let run ?options c ~f1 ~f2 ~t1_stop =
-  match run_outcome ?options c ~f1 ~f2 ~t1_stop with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
 
 let envelope_magnitude res name ~harmonic =
   let idx = Mna.node res.circuit name in

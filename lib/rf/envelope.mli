@@ -7,10 +7,6 @@
     fast-periodic solution — e.g. the turn-on or modulation transient of a
     mixer/PA without resolving millions of carrier cycles. *)
 
-exception No_convergence of Rfkit_solve.Error.t
-(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}; slice
-    failures are tagged with the failing slow index and instant. *)
-
 type options = {
   steps2 : int;   (** fast-axis BE steps per period *)
   n1 : int;       (** slow-axis steps over the simulated span *)
@@ -33,20 +29,11 @@ val run_outcome :
   f2:float ->
   t1_stop:float ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised envelope march: base attempt, then a retry with twice the
-    slow-axis resolution (halving the coupling step). Stats count solved
-    slices as iterations. *)
-
-val run :
-  ?options:options ->
-  Rfkit_circuit.Mna.t ->
-  f1:float ->
-  f2:float ->
-  t1_stop:float ->
-  result
 (** March the envelope from the fast-periodic state at [t1 = 0] to
     [t1_stop]. [f1] identifies which source components live on the slow
-    axis (see {!Mpde.split_wave}). Exception shim over {!run_outcome}. *)
+    axis (see {!Mpde.split_wave}). Supervised: base attempt, then a retry
+    with twice the slow-axis resolution (halving the coupling step).
+    Stats count solved slices as iterations. *)
 
 val envelope_magnitude : result -> string -> harmonic:int -> Rfkit_la.Vec.t
 (** Amplitude of the given fast harmonic of a node voltage at each slow

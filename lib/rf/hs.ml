@@ -2,8 +2,6 @@ open Rfkit_la
 open Rfkit_circuit
 open Rfkit_solve
 
-exception No_convergence = Error.No_convergence
-
 let engine = "hs"
 
 type options = { n1 : int; steps2 : int; max_sweeps : int; tol : float }
@@ -90,11 +88,6 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
       try solve_core ~options ~iter_cap c ~f1 ~f2
       with Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats))
     ()
-
-let solve ?options c ~f1 ~f2 =
-  match solve_outcome ?options c ~f1 ~f2 with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
 
 let node_grid res name =
   let k = Mna.node res.circuit name in

@@ -8,10 +8,6 @@
     coupling until the bivariate solution settles. Like MFDTD this is a
     pure time-domain method, suited to strongly nonlinear fast dynamics. *)
 
-exception No_convergence of Rfkit_solve.Error.t
-(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}; inner
-    slice failures arrive tagged with their slow-slice index. *)
-
 type options = {
   n1 : int;             (** slow-axis slices *)
   steps2 : int;         (** fast-axis BE steps per period *)
@@ -39,9 +35,6 @@ val solve_outcome :
   result Rfkit_solve.Supervisor.outcome
 (** Supervised solve: base attempt, then a fast-axis oversampling retry.
     Stats count Gauss-Seidel sweeps as iterations. *)
-
-val solve : ?options:options -> Rfkit_circuit.Mna.t -> f1:float -> f2:float -> result
-(** Exception shim over {!solve_outcome}. *)
 
 val node_grid : result -> string -> Rfkit_la.Mat.t
 (** Bivariate node waveform, [n1] x [steps2]. *)

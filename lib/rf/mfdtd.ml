@@ -2,8 +2,6 @@ open Rfkit_la
 open Rfkit_circuit
 open Rfkit_solve
 
-exception No_convergence = Error.No_convergence
-
 let engine = "mfdtd"
 
 type linear_solver = Direct | Matrix_free_gmres
@@ -246,11 +244,6 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
       in
       solve_core ~options ~damping ~iter_cap c ~f1 ~f2)
     ()
-
-let solve ?options c ~f1 ~f2 =
-  match solve_outcome ?options c ~f1 ~f2 with
-  | Supervisor.Converged (res, _) -> res
-  | Supervisor.Failed f -> Error.raise_failure ~engine f
 
 let node_grid res name =
   let { n1; n2; _ } = res.options in

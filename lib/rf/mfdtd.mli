@@ -8,9 +8,6 @@
     for strongly nonlinear circuits with no sinusoidal steady-state
     structure (the paper names power converters). *)
 
-exception No_convergence of Rfkit_solve.Error.t
-(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. *)
-
 type linear_solver = Direct | Matrix_free_gmres
 
 type options = {
@@ -43,9 +40,6 @@ val solve_outcome :
   result Rfkit_solve.Supervisor.outcome
 (** Supervised solve: base attempt, then a tightened-damping retry. GMRES
     stalls surface as {!Rfkit_solve.Supervisor.Krylov_stall}. *)
-
-val solve : ?options:options -> Rfkit_circuit.Mna.t -> f1:float -> f2:float -> result
-(** Exception shim over {!solve_outcome}. *)
 
 val node_grid : result -> string -> Rfkit_la.Mat.t
 (** Bivariate waveform of a node voltage ([n1] x [n2]). *)

@@ -256,7 +256,14 @@ let solve_outcome ?budget ?(options = default_options) ?x0 c ~freq =
       with
       | Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats)
       | Guard.Non_finite_found { iter; index } ->
-          Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats))
+          Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats)
+      (* an implicit step of the period integration diverged: typed as a
+         stall, as Tran.run_outcome does, so the ladder (and the PSS
+         cascade above it) moves on instead of unwinding *)
+      | Tran.Step_failed _ ->
+          Error
+            ( Supervisor.Newton_stall { iterations = 0; residual = infinity },
+              Supervisor.no_stats ))
     ()
 
 (* crude period estimate from mean crossings of the widest-swinging state *)

@@ -35,16 +35,14 @@
 module Spec = Rfkit_batch.Spec
 module Expand = Rfkit_batch.Expand
 module Runner = Rfkit_batch.Runner
+module Pipeline = Rfkit_batch.Pipeline
 module Cache = Rfkit_batch.Cache
 module Journal = Rfkit_batch.Journal
 module Telemetry = Rfkit_batch.Telemetry
 module Report = Rfkit_batch.Report
 module Json = Rfkit_batch.Json
-module Hash = Rfkit_batch.Hash
 module Deadline = Rfkit_solve.Deadline
 module Faults = Rfkit_solve.Faults
-module Deck = Rfkit_circuit.Deck
-module Lint = Rfkit_lint
 
 type config = {
   socket_path : string;
@@ -124,24 +122,6 @@ type completion = {
    it dead; report streams for realistic sweeps are far below this *)
 let max_out_bytes = 64 * 1024 * 1024
 let max_connections = 256
-
-let status_name = function
-  | Runner.Ok -> "ok"
-  | Runner.Suspect -> "suspect"
-  | Runner.Failed -> "failed"
-
-(* the same identity `rfsim sweep` journals under: a client that crashed
-   out of a server run can resume it with the offline command (or vice
-   versa) because both compute the hash from the same material *)
-let run_hash_of (cfg : Runner.config) ~job_deadline jobs =
-  Hash.digest
-    (String.concat "\n"
-       (Printf.sprintf "jobs=%d" (List.length jobs)
-       :: Printf.sprintf "deadline=%s"
-            (match job_deadline with
-            | None -> "none"
-            | Some s -> Printf.sprintf "%.9g" s)
-       :: List.map (Runner.job_key cfg) jobs))
 
 let run (cfg : config) : stop =
   (* a peer that vanishes mid-write must surface as EPIPE, not kill us *)
@@ -320,7 +300,7 @@ let run (cfg : config) : stop =
           | Some c ->
               send c
                 (Protocol.job_event ~run:sw.sw_run ~job:cp.cp_job
-                   ~status:(status_name r.Runner.status) ~cached:r.Runner.cached
+                   ~status:(Runner.status_name r.Runner.status) ~cached:r.Runner.cached
                    ~replayed:r.Runner.replayed)
           | None -> ())
     | None -> ());
@@ -395,9 +375,9 @@ let run (cfg : config) : stop =
           (Protocol.error ~detail:[ ("detail", Json.str msg) ]
              Protocol.Bad_request)
     | Ok (axes, corners, analyses) -> (
-        (* pre-flight lint of the first sweep point, like `rfsim sweep`:
-           a structurally broken deck is refused before admission *)
-        let lint_fatal =
+        (* the pipeline's pre-flight at the first sweep point, like
+           `rfsim sweep`: a broken deck is refused before admission *)
+        let refusal =
           if s.Protocol.s_no_lint then None
           else
             let overrides =
@@ -405,15 +385,11 @@ let run (cfg : config) : stop =
                 (fun (a : Spec.axis) -> (a.Spec.a_name, a.Spec.a_values.(0)))
                 axes
             in
-            match Deck.parse_string_located ~overrides s.Protocol.s_deck with
-            | exception Deck.Parse_error (line, msg) ->
-                Some (Printf.sprintf "deck line %d: %s" line msg)
-            | nl, located ->
-                let ds = Lint.run nl located in
-                let _, fatal = Lint.report ~path:"<deck>" ds in
-                if fatal then Some (Lint.summary ds) else None
+            match Pipeline.prepare ~overrides ~lint:true s.Protocol.s_deck with
+            | Error r -> Some (Pipeline.refusal_to_string r)
+            | Ok _ -> None
         in
-        match lint_fatal with
+        match refusal with
         | Some msg ->
             send c
               (Protocol.error ~detail:[ ("detail", Json.str msg) ]
@@ -434,7 +410,7 @@ let run (cfg : config) : stop =
                 grace = cfg.grace;
               }
             in
-            let run = run_hash_of rcfg ~job_deadline:cfg.job_deadline jobs in
+            let run = Runner.run_hash rcfg jobs in
             match Hashtbl.find_opt sweeps run with
             | Some sw ->
                 (* identical sweep already in flight (e.g. the client

@@ -9,7 +9,11 @@
     - admission is bounded: a sweep whose jobs do not all fit in the
       queue is refused with a typed [overloaded] response, never
       buffered or blocked on;
-    - runs journal under the same hash [rfsim sweep] uses, so a client
+    - a submitted deck goes through the same pre-flight as [rfsim
+      sweep] ({!Rfkit_batch.Pipeline.prepare} at the first sweep point)
+      and a refusal is a typed [bad-request] before admission;
+    - runs journal under the same hash [rfsim sweep] uses
+      ({!Rfkit_batch.Runner.run_hash}), so a client
       resubmitting after a crash (its own, a torn connection, or a
       server kill -9 and restart) replays completed jobs and receives a
       report byte-identical to an uninterrupted run;

@@ -293,6 +293,121 @@ let test_failed_job_does_not_kill_sweep () =
   check_bool "failure is typed in payload" true
     (contains_sub ~sub:"periodic" results.(1).Runner.payload)
 
+(* Identities pinned as literals: a change to the key or run-hash material
+   would orphan every existing cache entry and journal (and rfbench's own
+   copy of the run hash), so both must stay byte-stable. *)
+let test_identities_pinned () =
+  let cfg = sweep_cfg () in
+  let axes = [ Spec.parse_axis "R1=500,2k" ] in
+  let analyses =
+    [ Spec.Dc; Spec.Ac { f_start = 1e3; f_stop = 1e8; points_per_decade = 10 } ]
+  in
+  let jobs = Expand.expand ~axes ~corners:[] ~analyses in
+  check_str "job key" "79df2c95ba284a325f3f0c04e4d8666ab2d1898e"
+    (Runner.job_key cfg (List.hd jobs));
+  check_str "run hash" "5b8c8b55b93e24b00006c23b6ddb3861e0581b43"
+    (Runner.run_hash cfg jobs)
+
+(* ------------------------------------------------------------- pipeline -- *)
+
+let read_example name =
+  match Pipeline.read_deck ("../examples/decks/" ^ name) with
+  | Ok text -> text
+  | Error r -> Alcotest.fail (Pipeline.refusal_to_string r)
+
+let test_preflight_refusals () =
+  (match Pipeline.prepare ~lint:true (read_example "bad/underdet.cir") with
+  | Error (Pipeline.Lint_fatal ds) ->
+      check_bool "L021 among the findings" true
+        (List.exists (fun d -> d.Rfkit_lint.Diagnostic.code = "L021") ds)
+  | _ -> Alcotest.fail "a structurally singular deck must be refused");
+  (match Pipeline.prepare ~lint:false (read_example "bad/underdet.cir") with
+  | Ok deck -> check_int "no lint, no findings" 0 (List.length deck.Pipeline.diagnostics)
+  | Error r -> Alcotest.fail (Pipeline.refusal_to_string r));
+  match Pipeline.prepare ~lint:false "V1 a 0 DC 1\nR1 a 0 {RX}\n" with
+  | Error (Pipeline.Parse_failed { line; _ } as r) ->
+      check_int "parse error line" 2 line;
+      check_bool "rendered with its line" true
+        (contains_sub ~sub:"deck line 2" (Pipeline.refusal_to_string r))
+  | _ -> Alcotest.fail "an undefined parameter must be a parse refusal"
+
+let expect_unsupported what msg = function
+  | Pipeline.Failed
+      (Pipeline.Engine { Sup.cause = Sup.Unsupported m; f_attempts = []; _ }) ->
+      check_str what msg m
+  | _ -> Alcotest.failf "%s: expected a zero-attempt Unsupported failure" what
+
+let lowpass_deck () =
+  match Pipeline.prepare ~lint:true sweep_deck with
+  | Ok deck -> deck
+  | Error r -> Alcotest.fail (Pipeline.refusal_to_string r)
+
+let test_missing_periodic_source_typed () =
+  let c = Pipeline.circuit (lowpass_deck ()) in
+  let msg = "no periodic source in the deck (supply --freq)" in
+  expect_unsupported "hb" msg
+    (Pipeline.run c (Pipeline.Hb { freq = None; harmonics = 4; solver = Rfkit_rf.Hb.Direct }));
+  expect_unsupported "pss" msg (Pipeline.run c (Pipeline.Pss { freq = None; harmonics = 4 }));
+  expect_unsupported "shooting" msg
+    (Pipeline.run c (Pipeline.Shooting { freq = None; steps = 64 }));
+  expect_unsupported "named source" "no source V9 in deck"
+    (Pipeline.run c (Pipeline.Ac { source = Some "V9"; freqs = [| 1e3 |] }));
+  (* the sweep payload carries the same typed cause, not an exception *)
+  let results =
+    run_sweep ~axes:[ Spec.parse_axis "R1=1k" ]
+      ~analyses:[ Spec.Hb { freq = None; harmonics = 4 } ]
+      ()
+  in
+  check_bool "typed cause in the payload" true
+    (contains_sub ~sub:({|"cause":"|} ^ msg ^ {|"|}) results.(0).Runner.payload)
+
+(* AC and noise seed from the DC operating point; a DC failure must come
+   back as the DC supervisor's own typed failure, cause intact *)
+let test_ac_noise_keep_dc_cause () =
+  let deck =
+    match Pipeline.prepare ~lint:false (read_example "bad/underdet.cir") with
+    | Ok d -> d
+    | Error r -> Alcotest.fail (Pipeline.refusal_to_string r)
+  in
+  let c = Pipeline.circuit deck in
+  let freqs = [| 1e3; 1e4 |] in
+  let check what = function
+    | Pipeline.Failed (Pipeline.Engine f) ->
+        check_str (what ^ " engine") "dc" f.Sup.f_engine;
+        check_bool (what ^ " cause") true
+          (match f.Sup.cause with Sup.Structurally_singular _ -> true | _ -> false)
+    | _ -> Alcotest.failf "%s: expected the DC failure" what
+  in
+  check "ac" (Pipeline.run c (Pipeline.Ac { source = None; freqs }));
+  check "noise" (Pipeline.run c (Pipeline.Noise { node = "out"; freqs }));
+  (* an interrupt during the DC seed is the DC supervisor's typed
+     Interrupted, which rfsim turns into exit 5 *)
+  let module D = Rfkit_solve.Deadline in
+  let c = Pipeline.circuit (lowpass_deck ()) in
+  D.set_interrupt_action D.Raise;
+  D.request_interrupt ();
+  match
+    Fun.protect ~finally:D.clear_interrupt (fun () ->
+        Pipeline.run c (Pipeline.Ac { source = None; freqs }))
+  with
+  | Pipeline.Failed (Pipeline.Engine { Sup.f_engine = "dc"; cause = Sup.Interrupted; _ }) -> ()
+  | _ -> Alcotest.fail "an interrupted DC seed must fail typed as Interrupted"
+
+let test_job_parse_error_typed () =
+  let cfg = { (sweep_cfg ()) with Runner.deck_text = "V1 a 0 DC 1\nR1 a 0 {RX}\n" } in
+  let jobs = Expand.expand ~axes:[] ~corners:[] ~analyses:[ Spec.Dc ] in
+  let outcome =
+    Runner.run cfg
+      ~cache:(Cache.create ~enabled:false ~dir:"_unused" ())
+      ~telemetry:(quiet_telemetry 1) jobs
+  in
+  match outcome.Runner.results.(0) with
+  | Some r ->
+      check_bool "failed" true (r.Runner.status = Runner.Failed);
+      check_bool "typed parse cause" true
+        (contains_sub ~sub:{|"cause":"deck line 2: |} r.Runner.payload)
+  | None -> Alcotest.fail "job never ran"
+
 (* ------------------------------------------------------------ telemetry -- *)
 
 let test_telemetry_log () =
@@ -761,6 +876,16 @@ let suite =
         Alcotest.test_case "cache rerun + heal" `Quick test_runner_cache_rerun;
         Alcotest.test_case "failed job isolated" `Quick test_failed_job_does_not_kill_sweep;
         Alcotest.test_case "telemetry log" `Quick test_telemetry_log;
+        Alcotest.test_case "identities pinned" `Quick test_identities_pinned;
+      ] );
+    ( "batch.pipeline",
+      [
+        Alcotest.test_case "pre-flight refusals" `Quick test_preflight_refusals;
+        Alcotest.test_case "missing periodic source is typed" `Quick
+          test_missing_periodic_source_typed;
+        Alcotest.test_case "ac and noise keep the DC cause" `Quick
+          test_ac_noise_keep_dc_cause;
+        Alcotest.test_case "job parse error is typed" `Quick test_job_parse_error_typed;
       ] );
     ( "batch.journal",
       [

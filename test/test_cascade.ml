@@ -90,6 +90,19 @@ let test_cascade_exhaustion_keeps_trace () =
              go 0))
         [ "hb"; "hb-gmres"; "singular Jacobian"; "attempt 4" ]
 
+(* a structurally singular deck: HB refuses up front, shooting's period
+   integration diverges, tran-fft refuses up front. Every stage must come
+   back typed, so the chain visits all four instead of dying at shooting *)
+let test_cascade_underdet_exhausts_every_stage () =
+  let nl, _ = Deck.parse_file "../examples/decks/bad/underdet.cir" in
+  let c = Mna.build nl in
+  match Pss.solve_outcome ~chain:(Pss.default_chain ~n_samples:32 ()) c ~freq:1e6 with
+  | Cascade.Completed _ -> Alcotest.fail "a structurally singular deck cannot win"
+  | Cascade.Exhausted f ->
+      Alcotest.(check (list string)) "all four stages attempted"
+        [ "hb"; "hb-gmres"; "shooting"; "tran-fft" ]
+        (List.map (fun e -> e.Cascade.from_engine) f.Cascade.x_escalations)
+
 (* an armed fault plan for one engine must not bleed into the budgets of
    the engines after it (the per-engine attempt scoping fix) *)
 let test_fault_scope_per_engine () =
@@ -316,6 +329,8 @@ let suite =
           `Slow test_cascade_recovers_via_shooting;
         Alcotest.test_case "exhausted chain keeps the full trace" `Quick
           test_cascade_exhaustion_keeps_trace;
+        Alcotest.test_case "underdetermined deck exhausts all four stages" `Quick
+          test_cascade_underdet_exhausts_every_stage;
         Alcotest.test_case "fault plans are scoped per engine" `Slow
           test_fault_scope_per_engine;
         Alcotest.test_case "qpss: sabotaged MMFT escalates to MFDTD" `Slow

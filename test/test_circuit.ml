@@ -6,6 +6,11 @@ open Rfkit_circuit
 let check_float ?(eps = 1e-9) msg expected actual =
   Alcotest.(check (float eps)) msg expected actual
 
+let converged = function
+  | Rfkit_solve.Supervisor.Converged (r, _) -> r
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
+
 (* ----------------------------------------------------------------- Wave *)
 
 let test_wave_sine () =
@@ -44,13 +49,13 @@ let divider () =
 
 let test_dc_divider () =
   let c = Mna.build (divider ()) in
-  let x = Dc.solve c in
+  let x = converged (Dc.solve_outcome c) in
   check_float "input node" 10.0 x.(Mna.node c "in");
   check_float "divider output" 7.5 x.(Mna.node c "out")
 
 let test_dc_branch_current () =
   let c = Mna.build (divider ()) in
-  let x = Dc.solve c in
+  let x = converged (Dc.solve_outcome c) in
   match Mna.branch_index c "V1" with
   | None -> Alcotest.fail "V1 should have a branch current"
   | Some bi ->
@@ -77,7 +82,7 @@ let test_dc_diode_clamp () =
   Netlist.resistor nl "R1" "in" "d" 1e3;
   Netlist.diode nl "D1" "d" "0" ();
   let c = Mna.build nl in
-  let x = Dc.solve c in
+  let x = converged (Dc.solve_outcome c) in
   let vd = x.(Mna.node c "d") in
   Alcotest.(check bool) "diode drop plausible" true (vd > 0.5 && vd < 0.85);
   (* KCL: current through R equals diode current *)
@@ -93,7 +98,7 @@ let test_dc_mosfet_saturation () =
   Netlist.resistor nl "RD" "vdd" "d" 10e3;
   Netlist.mosfet nl "M1" ~d:"d" ~g:"g" ~s:"0" ~kp:2e-4 ~vth:0.5 ~lambda:0.0 ();
   let c = Mna.build nl in
-  let x = Dc.solve c in
+  let x = converged (Dc.solve_outcome c) in
   let vd = x.(Mna.node c "d") in
   (* Id = 0.5*2e-4*0.25 = 25 uA, Vd = 3 - 0.25 = 2.75 *)
   check_float ~eps:1e-6 "drain voltage" 2.75 vd
@@ -104,7 +109,7 @@ let test_dc_vccs () =
   Netlist.vccs nl "G1" "0" "out" "in" "0" 1e-3;
   Netlist.resistor nl "RL" "out" "0" 1e3;
   let c = Mna.build nl in
-  let x = Dc.solve c in
+  let x = converged (Dc.solve_outcome c) in
   (* current 1e-3*2 flows from node 0 to out inside device -> out rises *)
   check_float "vccs output" 2.0 x.(Mna.node c "out")
 
@@ -311,7 +316,7 @@ let test_deck_parse_divider () =
   in
   let nl, dirs = Deck.parse_string text in
   let c = Mna.build nl in
-  let x = Dc.solve c in
+  let x = converged (Dc.solve_outcome c) in
   check_float "parsed divider" 7.5 x.(Mna.node c "out");
   Alcotest.(check int) "directives" 2 (List.length dirs)
 
@@ -390,17 +395,16 @@ let test_deck_noise_current_card () =
 
 let test_floating_node_fails_gracefully () =
   (* a node with no DC path anywhere: the MNA matrix is singular and DC
-     must report non-convergence instead of crashing or looping *)
+     must report a typed failure instead of crashing or looping *)
   let nl = Netlist.create () in
   Netlist.capacitor nl "C1" "float" "a" 1e-12;
   Netlist.capacitor nl "C2" "a" "0" 1e-12;
   Netlist.isource nl "I1" "a" "0" (Wave.Dc 1e-3);
   let c = Mna.build nl in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Dc.solve c);
-       false
-     with Dc.No_convergence _ -> true)
+  match Dc.solve_outcome c with
+  | Rfkit_solve.Supervisor.Converged _ -> Alcotest.fail "floating node converged"
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.(check string) "dc engine" "dc" f.Rfkit_solve.Supervisor.f_engine
 
 let test_ground_is_not_an_unknown () =
   let nl = Netlist.create () in

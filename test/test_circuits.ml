@@ -82,12 +82,12 @@ let test_converter_engines_agree () =
   let p = Converter.default_params in
   let c = Converter.build p in
   let mf =
-    Mfdtd.solve
+    converged @@ Mfdtd.solve_outcome
       ~options:{ Mfdtd.default_options with n1 = 12; n2 = 32 }
       c ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm
   in
   let hs =
-    Hs.solve
+    converged @@ Hs.solve_outcome
       ~options:{ Hs.default_options with n1 = 12; steps2 = 32 }
       c ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm
   in
@@ -99,7 +99,7 @@ let test_converter_tracks_modulation () =
   let p = Converter.default_params in
   let c = Converter.build p in
   let mf =
-    Mfdtd.solve
+    converged @@ Mfdtd.solve_outcome
       ~options:{ Mfdtd.default_options with n1 = 16; n2 = 32 }
       c ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm
   in

@@ -99,7 +99,7 @@ let test_engines_agree_on_mixer () =
   let mmft = converged (Mmft.solve_outcome c ~f1 ~f2) in
   let a_mmft = Mmft.mix_amplitude mmft "mix" ~slow:1 ~fast:1 in
   let mfdtd =
-    Mfdtd.solve ~options:{ Mfdtd.default_options with n1 = 8; n2 = 32 } c ~f1 ~f2
+    converged @@ Mfdtd.solve_outcome ~options:{ Mfdtd.default_options with n1 = 8; n2 = 32 } c ~f1 ~f2
   in
   (* extract the same mix coefficient from the MFDTD bivariate grid *)
   let grid = Mfdtd.node_grid mfdtd "mix" in

@@ -8,6 +8,11 @@
 open Rfkit_la
 open Rfkit_circuit
 
+let converged = function
+  | Rfkit_solve.Supervisor.Converged (r, _) -> r
+  | Rfkit_solve.Supervisor.Failed f ->
+      Alcotest.fail (Rfkit_solve.Supervisor.failure_to_string f)
+
 let mat_close ?(tol = 1e-12) a b =
   a.Mat.rows = b.Mat.rows
   && a.Mat.cols = b.Mat.cols
@@ -323,7 +328,7 @@ let test_ac_sparse_vs_dense_decks () =
       let nl, _ = Deck.parse_file path in
       let c = Mna.build nl in
       Mna.set_ordering c Rfkit_struct.Order.Btf_amd;
-      let x0 = Dc.solve c in
+      let x0 = converged (Dc.solve_outcome c) in
       let perm = Mna.ordering_perm c in
       List.iter
         (fun freq ->
@@ -699,7 +704,7 @@ let pin_ac () =
         (fun (path, source) ->
           let nl, _ = Deck.parse_file path in
           let c = Mna.build nl in
-          let x0 = Dc.solve c in
+          let x0 = converged (Dc.solve_outcome c) in
           List.iter
             (fun freq ->
               let row_ptr, col_idx, values =

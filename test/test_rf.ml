@@ -230,7 +230,7 @@ let test_mfdtd_linear_two_tone () =
   Netlist.capacitor nl "C1" "out" "0" 1e-9;
   let c = Mna.build nl in
   let res =
-    Mfdtd.solve
+    converged @@ Mfdtd.solve_outcome
       ~options:{ Mfdtd.default_options with n1 = 8; n2 = 32; tol = 1e-8 }
       c ~f1 ~f2
   in
@@ -256,7 +256,7 @@ let test_mfdtd_diagonal_matches_transient () =
   Netlist.capacitor nl "C1" "out" "0" 20e-9;
   let c = Mna.build nl in
   let res =
-    Mfdtd.solve
+    converged @@ Mfdtd.solve_outcome
       ~options:{ Mfdtd.default_options with n1 = 24; n2 = 40; tol = 1e-8 }
       c ~f1 ~f2
   in
@@ -281,12 +281,12 @@ let test_hs_matches_mfdtd () =
   Netlist.cubic_conductor nl "GN" "out" "0" ~g1:1e-4 ~g3:5e-4;
   let c = Mna.build nl in
   let mf =
-    Mfdtd.solve
+    converged @@ Mfdtd.solve_outcome
       ~options:{ Mfdtd.default_options with n1 = 12; n2 = 32 }
       c ~f1 ~f2
   in
   let hs =
-    Hs.solve ~options:{ Hs.default_options with n1 = 12; steps2 = 32 } c ~f1 ~f2
+    converged @@ Hs.solve_outcome ~options:{ Hs.default_options with n1 = 12; steps2 = 32 } c ~f1 ~f2
   in
   let g_mf = Mfdtd.node_grid mf "out" in
   let g_hs = Hs.node_grid hs "out" in
@@ -350,7 +350,7 @@ let test_envelope_am_tracking () =
   Netlist.capacitor nl "CO" "out" "0" 1e-12;
   let c = Mna.build nl in
   let res =
-    Envelope.run
+    converged @@ Envelope.run_outcome
       ~options:{ Envelope.steps2 = 32; n1 = 20 }
       c ~f1:f_mod ~f2:f_carrier ~t1_stop:(1.0 /. f_mod)
   in
