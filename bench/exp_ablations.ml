@@ -85,7 +85,7 @@ let report () =
   bench.Noise.Oscillators.kick !xbe;
   for k = 1 to 40 * m do
     xbe :=
-      Tran.implicit_step bench.Noise.Oscillators.circuit ~method_:Tran.Backward_euler
+      Tran.implicit_step bench.Noise.Oscillators.circuit ~scheme:Tran.Be
         ~x_prev:!xbe
         ~t_prev:(float_of_int (k - 1) *. h)
         ~dt:h
@@ -94,7 +94,7 @@ let report () =
   let probe = ref (La.Vec.copy !xbe) in
   for k = 1 to m do
     probe :=
-      Tran.implicit_step bench.Noise.Oscillators.circuit ~method_:Tran.Backward_euler
+      Tran.implicit_step bench.Noise.Oscillators.circuit ~scheme:Tran.Be
         ~x_prev:!probe
         ~t_prev:(float_of_int (k - 1) *. h)
         ~dt:h;

@@ -197,17 +197,16 @@ let preflight ~verb ?overrides ~lint path text =
       deck
   | Error r -> refuse ~verb path r
 
-(* One job: the pre-flight, the LU ledger zeroed for --stats, the
-   circuit built with its ordering. *)
+(* One job: the pre-flight and the circuit built with its ordering (the
+   pipeline zeroes the LU ledger for --stats). *)
 let one_job ?ordering ~no_lint ~stats path =
   install_single_run_signals ();
   let deck = preflight ~verb:"run" ~lint:(not no_lint) path (read_deck path) in
   stats_enabled := stats;
-  Pipeline.reset_ledger ();
   (deck, Pipeline.circuit ?ordering deck)
 
-let analysis ?certify c request =
-  match Pipeline.run ?certify c request with
+let analysis ?certify ?node c request =
+  match Pipeline.run ?certify ?node c request with
   | Pipeline.Converged r -> r
   | Pipeline.Failed f -> die f
 
@@ -546,7 +545,8 @@ let tran_cmd =
   let run path no_lint t_stop dt node no_certify scale stats ordering =
     let _, c = one_job ~ordering ~no_lint ~stats path in
     print_tran c ~nodes:[ node ]
-      (analysis ?certify:(certify_of no_certify scale) c (Pipeline.Tran { t_stop; dt }))
+      (analysis ?certify:(certify_of no_certify scale) ~node c
+         (Pipeline.Tran { t_stop; dt }))
   in
   Cmd.v (Cmd.info "tran" ~doc)
     Term.(
@@ -559,7 +559,7 @@ let ac_cmd =
   let run path no_lint f_start f_stop source node stats ordering =
     let _, c = one_job ~ordering ~no_lint ~stats path in
     let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
-    print_ac c ~node (analysis c (Pipeline.Ac { source = Some source; freqs }))
+    print_ac c ~node (analysis ~node c (Pipeline.Ac { source = Some source; freqs }))
   in
   Cmd.v (Cmd.info "ac" ~doc)
     Term.(
@@ -601,10 +601,10 @@ let hb_cmd =
     let certify = certify_of no_certify scale in
     if cascade then
       print_cascade ~freq ~node ~harmonics
-        (analysis ?certify c (Pipeline.Pss { freq = Some freq; harmonics }))
+        (analysis ?certify ~node c (Pipeline.Pss { freq = Some freq; harmonics }))
     else
       print_hb c ~node ~harmonics
-        (analysis ?certify c (Pipeline.Hb { freq = Some freq; harmonics; solver }))
+        (analysis ?certify ~node c (Pipeline.Hb { freq = Some freq; harmonics; solver }))
   in
   Cmd.v (Cmd.info "hb" ~doc)
     Term.(
@@ -619,7 +619,7 @@ let shooting_cmd =
     let _, c = one_job ~no_lint ~stats path in
     arm_injection ~engine:"shooting" inject;
     print_shooting c ~freq ~node ~harmonics
-      (analysis ?certify:(certify_of no_certify scale) c
+      (analysis ?certify:(certify_of no_certify scale) ~node c
          (Pipeline.Shooting { freq = Some freq; steps }))
   in
   Cmd.v (Cmd.info "shooting" ~doc)
@@ -640,7 +640,7 @@ let mmft_cmd =
   let run path no_lint f1 f2 slow_harmonics node stats =
     let _, c = one_job ~no_lint ~stats path in
     print_mmft c ~f1 ~f2 ~slow_harmonics ~node
-      (analysis c (Pipeline.Mmft { f1; f2; slow_harmonics }))
+      (analysis ~node c (Pipeline.Mmft { f1; f2; slow_harmonics }))
   in
   Cmd.v (Cmd.info "mmft" ~doc)
     Term.(
@@ -917,7 +917,6 @@ let sweep_cmd =
     end;
     let job_list = Batch.Expand.expand ~axes ~corners ~analyses in
     let total = List.length job_list in
-    if stats then La.Sparse_lu.reset_counts ();
     let cache_dir = run_cache_dir ~what:"sweep" ~cache_dir ~no_cache resume in
     let cfg =
       {
@@ -1179,7 +1178,6 @@ let optimize_cmd =
       ignore (preflight ~verb:"optimize" ~overrides ~lint:true path deck_text)
     end;
     let cache_dir = run_cache_dir ~what:"optimize" ~cache_dir ~no_cache resume in
-    if stats then La.Sparse_lu.reset_counts ();
     let cfg =
       {
         Batch.Runner.deck_text;
@@ -1587,8 +1585,8 @@ let run_cmd =
     let node = match requested with n :: _ -> n | [] -> "out" in
     (* a directive the deck cannot serve (.ac without a voltage source,
        .hb without a periodic source) is noted and skipped *)
-    let directive name request print =
-      match Pipeline.run ~certify:1.0 c request with
+    let directive ?node name request print =
+      match Pipeline.run ~certify:1.0 ?node c request with
       | Pipeline.Failed
           (Pipeline.Engine { Sup.cause = Sup.Unsupported msg; f_attempts = []; _ }) ->
           Printf.eprintf ".%s: %s\n" name msg
@@ -1599,12 +1597,12 @@ let run_cmd =
       (function
         | Deck.Dc_op -> directive "dc" Pipeline.Dc (print_dc c)
         | Deck.Tran { t_stop; dt } ->
-            directive "tran" (Pipeline.Tran { t_stop; dt }) (print_tran c ~nodes:[ node ])
+            directive ~node "tran" (Pipeline.Tran { t_stop; dt }) (print_tran c ~nodes:[ node ])
         | Deck.Ac_sweep { f_start; f_stop } ->
             let freqs = Ac.log_freqs ~f_start ~f_stop ~points_per_decade:10 in
-            directive "ac" (Pipeline.Ac { source = None; freqs }) (print_ac c ~node)
+            directive ~node "ac" (Pipeline.Ac { source = None; freqs }) (print_ac c ~node)
         | Deck.Hb { harmonics } ->
-            directive "hb"
+            directive ~node "hb"
               (Pipeline.Hb { freq = None; harmonics; solver = Rf.Hb.Direct })
               (print_hb c ~node ~harmonics)
         | Deck.Noise_sweep { f_start; f_stop } ->

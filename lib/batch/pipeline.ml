@@ -140,6 +140,13 @@ let with_source c source k =
       | Some d -> k (Device.name d)
       | None -> unsupported ~engine:"ac" "no voltage source in deck")
 
+(* the output node must exist: resolved before any engine runs, instead
+   of failing (or reading the wrong unknown) after it *)
+let with_node ~engine c node k =
+  match Option.iter (fun name -> ignore (Mna.node c name)) node with
+  | () -> k ()
+  | exception Not_found -> unsupported ~engine ("no node " ^ Option.get node ^ " in deck")
+
 (* [counted] is false for the direct linearized solves, whose report
    counts frequencies, not Newton iterations; [chain] is the cascade's
    report when the value came out of the PSS cascade *)
@@ -172,7 +179,17 @@ let single ?counted ?certify ?check = function
 
 let pss_check ~tol_scale sol = Rf.Pss.certify ~tol_scale sol
 
-let run : type a. ?budget:Sup.budget -> ?certify:float -> Mna.t -> a request -> a outcome =
+let engine_of : type a. a request -> string = function
+  | Dc -> "dc"
+  | Ac _ -> "ac"
+  | Noise _ -> "ac-noise"
+  | Tran _ -> "tran"
+  | Hb _ | Pss _ -> "hb"
+  | Shooting _ -> "shooting"
+  | Mmft _ -> "mmft"
+
+let analyze : type a. ?budget:Sup.budget -> ?certify:float -> Mna.t -> a request -> a outcome
+    =
  fun ?budget ?certify c request ->
   match request with
   | Dc ->
@@ -213,6 +230,15 @@ let run : type a. ?budget:Sup.budget -> ?certify:float -> Mna.t -> a request -> 
   | Mmft { f1; f2; slow_harmonics } ->
       let options = { Rf.Mmft.default_options with slow_harmonics } in
       single (Rf.Mmft.solve_outcome ?budget ~options c ~f1 ~f2)
+
+let run : type a.
+    ?budget:Sup.budget -> ?certify:float -> ?node:string -> Mna.t -> a request -> a outcome =
+ fun ?budget ?certify ?node c request ->
+  (* every job counts only its own factorizations, none if it is refused *)
+  reset_ledger ();
+  let node = match request with Noise { node; _ } -> Some node | _ -> node in
+  with_node ~engine:(engine_of request) c node (fun () ->
+      analyze ?budget ?certify c request)
 
 let status : type a. a outcome -> status = function
   | Failed _ -> Failed

@@ -60,9 +60,6 @@ type ledger = {
   clu_fill_nnz : int;  (** the same three for the complex sparse LU *)
 }
 
-val reset_ledger : unit -> unit
-(** Zero the calling domain's real and complex LU counters. *)
-
 (** {1 Analysis table} *)
 
 type status = Ok | Suspect | Failed
@@ -107,7 +104,7 @@ type 'a converged = {
           attempt and stage; 0 for the direct ac and noise solves *)
   krylov : int;  (** inner Krylov iterations of the winning attempt *)
   ledger : ledger;
-      (** the calling domain's LU counters right after the engine, before
+      (** this job's LU counters right after the engine, before
           certification re-factors anything *)
 }
 
@@ -116,12 +113,17 @@ type 'a outcome = Converged of 'a converged | Failed of failure
 val run :
   ?budget:Rfkit_solve.Supervisor.budget ->
   ?certify:float ->
+  ?node:string ->
   Mna.t ->
   'a request ->
   'a outcome
 (** Run one analysis. [certify] is the certification threshold scale;
     omitted, the result is not certified. [budget] defaults to each
-    engine's own. *)
+    engine's own. [node] is the output node the caller will read from
+    the result ([Noise] names its own): a node the deck does not have
+    fails before any engine runs, cause [Unsupported "no node N in
+    deck"]. The calling domain's LU ledger is zeroed before the engine
+    runs, so {!converged.ledger} counts this job's factorizations only. *)
 
 val status : 'a outcome -> status
 (** [Suspect] when a certificate was issued and did not certify. *)

@@ -148,8 +148,10 @@ let execute cfg (job : Expand.job) =
   | Error refusal -> failed (Pipeline.refusal_to_string refusal) 0
   | Ok deck ->
       let c = Pipeline.circuit ~ordering:cfg.ordering deck in
+      (* every payload but dc's reads the output node *)
+      let node = match analysis with Spec.Dc -> None | _ -> Some cfg.node in
       let finish req data =
-        let outcome = Pipeline.run ?budget:cfg.budget ~certify:cfg.tol_scale c req in
+        let outcome = Pipeline.run ?budget:cfg.budget ~certify:cfg.tol_scale ?node c req in
         match outcome with
         | Pipeline.Failed f ->
             failed

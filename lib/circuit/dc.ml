@@ -212,11 +212,9 @@ let dc_point c =
   | Supervisor.Converged (x, _) -> x
   (* a typed interrupt/deadline abort must not degrade into a cold
      zero start: re-raise so the supervisor records the cause *)
-  | Supervisor.Failed { Supervisor.cause = Supervisor.Interrupted; _ } ->
-      raise Deadline.Interrupted
-  | Supervisor.Failed { Supervisor.cause = Supervisor.Deadline_exceeded { seconds }; _ } ->
-      raise (Deadline.Expired seconds)
-  | Supervisor.Failed _ -> Vec.create (Mna.size c)
+  | Supervisor.Failed f ->
+      Supervisor.reraise_abort f;
+      Vec.create (Mna.size c)
 
 (* A-posteriori certification: re-derive the KCL residual from the result
    alone instead of trusting the Newton loop's own convergence flag. *)

@@ -63,8 +63,9 @@ let netlist c = c.nl
 let voltage _ (x : Vec.t) node = if node = Netlist.gnd then 0.0 else x.(node)
 
 let node c name =
-  let idx = Netlist.node c.nl name in
-  if idx = Netlist.gnd then raise Not_found else idx
+  match Netlist.find_node c.nl name with
+  | Some idx when idx <> Netlist.gnd -> idx
+  | _ -> raise Not_found
 
 let branch_index c name = List.assoc_opt name c.branches
 

@@ -23,7 +23,8 @@ val voltage : t -> Rfkit_la.Vec.t -> Device.node -> float
 (** Ground-aware node voltage lookup ([0.] for ground). *)
 
 val node : t -> string -> int
-(** Unknown index of a named node.
+(** Unknown index of a named node. A lookup only: an unknown name is
+    not added to the netlist.
     @raise Not_found for unknown names or ground. *)
 
 val branch_index : t -> string -> int option

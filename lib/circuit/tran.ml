@@ -1,88 +1,142 @@
 open Rfkit_la
 open Rfkit_solve
 
-exception Step_failed of float
+exception Step_failed of { time : float; cause : Supervisor.cause }
 
 type method_ = Backward_euler | Trapezoidal
 
+type scheme = Be | Trap | Gear2 of Vec.t
+
 type result = { times : float array; states : Vec.t array }
+
+type stop = {
+  max_iter : int;
+  res_abs : float;
+  res_rel : float;
+  step_rel : float;
+  damping : float;
+}
+
+let default_stop = { max_iter = 50; res_abs = 1e-9; res_rel = 0.0; step_rel = 0.0; damping = 5.0 }
 
 let engine = "tran"
 
-let implicit_step ?(tol = 1e-9) ?(max_iter = 50) ?(solver = Dc.Sparse_direct)
-    ?symb c ~method_ ~x_prev ~t_prev ~dt =
+let scheme_of = function Backward_euler -> Be | Trapezoidal -> Trap
+
+(* Jacobian weights (a_c, a_g) of a step's companion matrix a_c C + a_g G *)
+let weights ~coupling ~scheme ~dt =
+  let a_c, a_g =
+    match scheme with Be -> (1.0 /. dt, 1.0) | Trap -> (1.0 /. dt, 0.5) | Gear2 _ -> (1.5 /. dt, 1.0)
+  in
+  ((match coupling with None -> a_c | Some (inv_h1, _) -> a_c +. inv_h1), a_g)
+
+(* The companion system of one step from (t_prev, x_prev) to
+   t_prev + dt, with b1 the source vector at the arrival instant:
+     Be:    (q1 - q0)/dt + f1 - b1
+     Trap:  (q1 - q0)/dt + (f1 + f0)/2 - (b1 + b0)/2
+     Gear2: (3 q1 - 4 q0 + q_-1)/(2 dt) + f1 - b1
+   plus, with a coupling (1/h1, q_ref), the MPDE slow-axis term
+   (q1 - q_ref)/h1. Returns b1 and the residual, which also hands back
+   f1 = f(x). *)
+let companion ?rhs ?coupling c ~scheme ~x_prev ~t_prev ~dt =
+  let n = Mna.size c in
+  let q0 = Mna.eval_q c x_prev in
+  let b1 = match rhs with Some b -> b | None -> Mna.eval_b c (t_prev +. dt) in
+  let base =
+    match scheme with
+    | Be -> fun q1 f1 -> Vec.init n (fun i -> ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i))
+    | Trap ->
+        let f0 = Mna.eval_f c x_prev and b0 = Mna.eval_b c t_prev in
+        fun q1 f1 ->
+          Vec.init n (fun i ->
+              ((q1.(i) -. q0.(i)) /. dt)
+              +. (0.5 *. (f1.(i) +. f0.(i)))
+              -. (0.5 *. (b1.(i) +. b0.(i))))
+    | Gear2 x_prev2 ->
+        let qm1 = Mna.eval_q c x_prev2 in
+        fun q1 f1 ->
+          Vec.init n (fun i ->
+              (((3.0 *. q1.(i)) -. (4.0 *. q0.(i)) +. qm1.(i)) /. (2.0 *. dt))
+              +. f1.(i) -. b1.(i))
+  in
+  let residual x =
+    let q1 = Mna.eval_q c x and f1 = Mna.eval_f c x in
+    let r = base q1 f1 in
+    (match coupling with
+    | None -> ()
+    | Some (inv_h1, q_ref) ->
+        Array.iteri (fun i ri -> r.(i) <- ri +. ((q1.(i) -. q_ref.(i)) *. inv_h1)) r);
+    (r, f1)
+  in
+  (b1, residual)
+
+let jacobian c ~a_c ~a_g x =
+  let cm = Mna.jac_c_sparse c x and gm = Mna.jac_g_sparse c x in
+  Sparse.add (Sparse.scale a_c cm) (if a_g = 1.0 then gm else Sparse.scale a_g gm)
+
+let step_jacobian ?coupling c ~scheme ~dt x =
+  let a_c, a_g = weights ~coupling ~scheme ~dt in
+  jacobian c ~a_c ~a_g x
+
+let implicit_step ?(stop = default_stop) ?(solver = Dc.Sparse_direct) ?symb
+    ?(engine = engine) ?rhs ?coupling c ~scheme ~x_prev ~t_prev ~dt =
   let t1 = t_prev +. dt in
-  (* symbolic LU analysis shared across the step's Newton re-stamps; [run]
-     passes one cache for the whole transient (fixed dt => fixed pattern) *)
+  let fail cause = raise (Step_failed { time = t1; cause }) in
+  (* symbolic LU analysis shared across the step's Newton re-stamps; the
+     caller may widen its scope to a whole run or period *)
   let symb = match symb with Some r -> r | None -> ref None in
   let perm = Mna.ordering_perm c in
-  let q0 = Mna.eval_q c x_prev in
-  let b1 = Mna.eval_b c t1 in
-  (* companion Jacobian J = a_c/dt * C(x) + a_g * G(x) as a sparse (or
-     dense-fallback) solve of J dx = r *)
-  let jac_solve ~a_g x r =
+  let rhs, residual = companion ?rhs ?coupling c ~scheme ~x_prev ~t_prev ~dt in
+  let a_c, a_g = weights ~coupling ~scheme ~dt in
+  let res_tol =
+    if stop.res_rel = 0.0 then stop.res_abs
+    else (stop.res_rel *. Float.max 1.0 (Vec.norm_inf rhs)) +. stop.res_abs
+  in
+  (* J dx = r with J = a_c C(x) + a_g G(x) *)
+  let solve x r =
     match solver with
     | Dc.Dense_lu ->
-        let cm = Mna.jac_c c x and gm = Mna.jac_g c x in
-        let j = Mat.add (Mat.scale (1.0 /. dt) cm) (Mat.scale a_g gm) in
+        let j = Mat.add (Mat.scale a_c (Mna.jac_c c x)) (Mat.scale a_g (Mna.jac_g c x)) in
         Lu.solve (Lu.factor j) r
     | Dc.Sparse_direct ->
-        let cm = Mna.jac_c_sparse c x and gm = Mna.jac_g_sparse c x in
-        let j = Sparse.add (Sparse.scale (1.0 /. dt) cm) (Sparse.scale a_g gm) in
-        Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb j) r
+        Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb (jacobian c ~a_c ~a_g x)) r
     | Dc.Gmres_ilu ->
-        let cm = Mna.jac_c_sparse c x and gm = Mna.jac_g_sparse c x in
-        let j = Sparse.add (Sparse.scale (1.0 /. dt) cm) (Sparse.scale a_g gm) in
+        let j = jacobian c ~a_c ~a_g x in
         let precond = Sparse_lu.ilu_apply (Sparse_lu.ilu0 j) in
         let dx, st = Krylov.gmres ~tol:1e-12 ~precond (Sparse.matvec j) r in
         if st.Krylov.converged then dx
         else Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb j) r
   in
-  let residual, jac =
-    match method_ with
-    | Backward_euler ->
-        let res x =
-          let q1 = Mna.eval_q c x in
-          let f1 = Mna.eval_f c x in
-          Vec.init (Mna.size c) (fun i ->
-              ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i))
-        in
-        (res, jac_solve ~a_g:1.0)
-    | Trapezoidal ->
-        let f0 = Mna.eval_f c x_prev in
-        let b0 = Mna.eval_b c t_prev in
-        let res x =
-          let q1 = Mna.eval_q c x in
-          let f1 = Mna.eval_f c x in
-          Vec.init (Mna.size c) (fun i ->
-              ((q1.(i) -. q0.(i)) /. dt)
-              +. (0.5 *. (f1.(i) +. f0.(i)))
-              -. (0.5 *. (b1.(i) +. b0.(i))))
-        in
-        (res, jac_solve ~a_g:0.5)
-  in
   let x = Vec.copy x_prev in
-  let ok = ref false in
-  let iter = ref 0 in
-  while (not !ok) && !iter < max_iter do
-    incr iter;
-    (try Guard.check ~engine ~iter:!iter x
-     with Guard.Non_finite_found _ -> raise (Step_failed t1));
-    let r = residual x in
-    if Vec.norm_inf r <= tol then ok := true
+  (* damped Newton on R(x) = 0: x <- x - s dx with J dx = R(x) *)
+  let rec newton iter last =
+    if iter > stop.max_iter then
+      fail (Supervisor.Newton_stall { iterations = stop.max_iter; residual = last })
     else begin
-      if Faults.singular_now ~engine then raise (Step_failed t1);
-      let dx =
-        try jac x r with Lu.Singular -> raise (Step_failed t1)
-      in
-      (* Newton update: x <- x - dx since residual is R(x), J dx = R *)
-      let step = Vec.norm_inf dx in
-      let scale = if step > 5.0 then 5.0 /. step else 1.0 in
-      Vec.axpy (-.scale) dx x
+      (try Guard.check ~engine ~iter x
+       with Guard.Non_finite_found { iter; index } ->
+         fail (Supervisor.Non_finite { iter; index }));
+      let r, _ = residual x in
+      let res = Vec.norm_inf r in
+      if res <= res_tol then x
+      else begin
+        if Faults.singular_now ~engine then fail Supervisor.Singular_jacobian;
+        let dx = try solve x r with Lu.Singular -> fail Supervisor.Singular_jacobian in
+        let step = Vec.norm_inf dx in
+        (* with the q/h terms dominating, a residual tolerance can be
+           out of reach for reactive branches: a vanishing Newton step
+           converges too, where the caller asks for it *)
+        if stop.step_rel > 0.0 && step <= stop.step_rel *. Float.max 1.0 (Vec.norm_inf x)
+        then x
+        else begin
+          let scale = if step > stop.damping then stop.damping /. step else 1.0 in
+          Vec.axpy (-.scale) dx x;
+          newton (iter + 1) res
+        end
+      end
     end
-  done;
-  if not !ok then raise (Step_failed t1);
-  x
+  in
+  newton 1 infinity
 
 let initial_state ?x0 c =
   match x0 with
@@ -94,6 +148,7 @@ let initial_state ?x0 c =
 
 let run ?(method_ = Trapezoidal) ?x0 ?(tol = 1e-9) ?solver c ~t_stop ~dt =
   let x0 = initial_state ?x0 c in
+  let stop = { default_stop with res_abs = tol } and scheme = scheme_of method_ in
   let steps = int_of_float (Float.ceil (t_stop /. dt)) in
   let times = Array.make (steps + 1) 0.0 in
   let states = Array.make (steps + 1) x0 in
@@ -103,7 +158,7 @@ let run ?(method_ = Trapezoidal) ?x0 ?(tol = 1e-9) ?solver c ~t_stop ~dt =
     let dt_k = Float.min dt (t_stop -. t_prev) in
     times.(k) <- t_prev +. dt_k;
     states.(k) <-
-      implicit_step ~tol ?solver ~symb c ~method_ ~x_prev:states.(k - 1) ~t_prev
+      implicit_step ~stop ?solver ~symb c ~scheme ~x_prev:states.(k - 1) ~t_prev
         ~dt:dt_k
   done;
   { times; states }
@@ -152,7 +207,7 @@ let run_outcome ?(budget = default_budget) ?(method_ = Trapezoidal) ?x0
                 krylov_iterations = 0;
               } )
         with
-        | Step_failed t ->
+        | Step_failed { time = t; _ } ->
             Error
               ( Supervisor.Newton_stall { iterations = steps; residual = infinity },
                 {
@@ -168,6 +223,7 @@ let run_outcome ?(budget = default_budget) ?(method_ = Trapezoidal) ?x0
 let run_adaptive ?(method_ = Trapezoidal) ?x0 ?(tol = 1e-9) ?solver
     ?(lte_tol = 1e-6) ?(dt_min = 1e-18) ?dt_max c ~t_stop ~dt0 =
   let x0 = initial_state ?x0 c in
+  let stop = { default_stop with res_abs = tol } and scheme = scheme_of method_ in
   let dt_max = match dt_max with Some v -> v | None -> t_stop /. 10.0 in
   let times = ref [ 0.0 ] and states = ref [ x0 ] in
   let t = ref 0.0 and x = ref x0 and dt = ref dt0 in
@@ -176,14 +232,14 @@ let run_adaptive ?(method_ = Trapezoidal) ?x0 ?(tol = 1e-9) ?solver
     (* one full step vs two half steps *)
     let attempt () =
       let x_full =
-        implicit_step ~tol ?solver c ~method_ ~x_prev:!x ~t_prev:!t ~dt:dt_k
+        implicit_step ~stop ?solver c ~scheme ~x_prev:!x ~t_prev:!t ~dt:dt_k
       in
       let x_half =
-        implicit_step ~tol ?solver c ~method_ ~x_prev:!x ~t_prev:!t
+        implicit_step ~stop ?solver c ~scheme ~x_prev:!x ~t_prev:!t
           ~dt:(dt_k /. 2.0)
       in
       let x_two =
-        implicit_step ~tol ?solver c ~method_ ~x_prev:x_half
+        implicit_step ~stop ?solver c ~scheme ~x_prev:x_half
           ~t_prev:(!t +. (dt_k /. 2.0)) ~dt:(dt_k /. 2.0)
       in
       (x_full, x_two)
@@ -230,26 +286,12 @@ let certify ?(tol_scale = 1.0) ?(method_ = Trapezoidal) c (res : result) =
     let t0 = res.times.(!k - 1) and t1 = res.times.(!k) in
     let dt = t1 -. t0 in
     if dt > 0.0 then begin
-      let q0 = Mna.eval_q c x0 and q1 = Mna.eval_q c x1 in
-      let f1 = Mna.eval_f c x1 and b1 = Mna.eval_b c t1 in
-      let r, scale =
-        match method_ with
-        | Backward_euler ->
-            let r =
-              Vec.init (Mna.size c) (fun i ->
-                  ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. b1.(i))
-            in
-            (r, Float.max (Vec.norm_inf f1) (Vec.norm_inf b1))
-        | Trapezoidal ->
-            let f0 = Mna.eval_f c x0 and b0 = Mna.eval_b c t0 in
-            let r =
-              Vec.init (Mna.size c) (fun i ->
-                  ((q1.(i) -. q0.(i)) /. dt)
-                  +. (0.5 *. (f1.(i) +. f0.(i)))
-                  -. (0.5 *. (b1.(i) +. b0.(i))))
-            in
-            (r, Float.max (Vec.norm_inf f1) (Vec.norm_inf b1))
+      let b1 = Mna.eval_b c t1 in
+      let _, residual =
+        companion ~rhs:b1 c ~scheme:(scheme_of method_) ~x_prev:x0 ~t_prev:t0 ~dt
       in
+      let r, f1 = residual x1 in
+      let scale = Float.max (Vec.norm_inf f1) (Vec.norm_inf b1) in
       let scale = if scale > 0.0 then scale else 1.0 in
       worst := Float.max !worst (Vec.norm_inf r /. scale)
     end;

@@ -4,33 +4,86 @@
     fixed-step [run] plus a step-doubling adaptive driver. These are the
     "SPICE-type, time-domain" engines whose cost on widely separated time
     scales motivates the paper's Section 2 methods — and the baseline the
-    benchmarks compare against. *)
+    benchmarks compare against. Their step, {!implicit_step}, is the one
+    time-stepping core: shooting, the MPDE slices of hierarchical
+    shooting and the envelope method, MMFT and the jitter ensemble step
+    through it too. *)
 
-exception Step_failed of float
+exception Step_failed of { time : float; cause : Rfkit_solve.Supervisor.cause }
+(** A failed step: its arrival instant and why (Newton stall, singular
+    Jacobian, non-finite iterate). *)
 
 type method_ = Backward_euler | Trapezoidal
+
+type scheme = Be | Trap | Gear2 of Rfkit_la.Vec.t
+(** One step's formula; [Gear2] carries the state one step before
+    [x_prev]. *)
 
 type result = {
   times : float array;
   states : Rfkit_la.Vec.t array;  (** state vector per time point *)
 }
 
+(** When one step's damped Newton stops: plain values per caller, since
+    a transient, a shooting period, an MPDE slice and a noisy SDE step
+    see different residual scales. *)
+type stop = {
+  max_iter : int;  (** iterations before the step fails *)
+  res_abs : float;
+  res_rel : float;
+      (** converged when [|R(x)| <= res_rel * max 1 |b1| + res_abs]
+          ([res_abs = neg_infinity]: never) *)
+  step_rel : float;
+      (** converged, without the update, when [|dx| <= step_rel * max 1 |x|]
+          ([0.]: no step test) *)
+  damping : float;  (** cap on [|dx|] per update *)
+}
+
+val default_stop : stop
+(** The transient's: 50 iterations, [|R| <= 1e-9], no step test,
+    damping 5. *)
+
 val implicit_step :
-  ?tol:float ->
-  ?max_iter:int ->
+  ?stop:stop ->
   ?solver:Dc.linear_solver ->
   ?symb:Rfkit_la.Sparse_lu.symbolic option ref ->
+  ?engine:string ->
+  ?rhs:Rfkit_la.Vec.t ->
+  ?coupling:float * Rfkit_la.Vec.t ->
   Mna.t ->
-  method_:method_ ->
+  scheme:scheme ->
   x_prev:Rfkit_la.Vec.t ->
   t_prev:float ->
   dt:float ->
   Rfkit_la.Vec.t
-(** One implicit step from [(t_prev, x_prev)] to [t_prev + dt]. [solver]
-    picks the inner linear solver (default {!Dc.Sparse_direct}); [symb]
-    optionally shares a {!Rfkit_la.Sparse_lu} symbolic cache across steps
-    of a fixed-step run so re-stamps refactor instead of re-pivoting.
-    @raise Step_failed with the failing time if Newton diverges. *)
+(** One damped-Newton step from [(t_prev, x_prev)] to [t1 = t_prev + dt]
+    on
+
+    {v Be:    R(x) = (q(x) - q0)/dt + f(x) - b1
+    Trap:  R(x) = (q(x) - q0)/dt + (f(x) + f0)/2 - (b1 + b0)/2
+    Gear2: R(x) = (3 q(x) - 4 q0 + q_-1)/(2 dt) + f(x) - b1 v}
+
+    with Jacobian [a_c C(x) + a_g G(x)] ([a_c] = 1/dt, 1/dt, 3/(2 dt);
+    [a_g] = 1, 1/2, 1). [b1] is [b(t1)] unless [rhs] replaces it;
+    [coupling] [(1/h1, q_ref)] adds the MPDE term [(q(x) - q_ref)/h1]
+    to [R] and [1/h1] to [a_c]. Each iteration polls
+    {!Rfkit_solve.Guard} under [engine] (default ["tran"]), tests the
+    residual, solves (a singular fault plan for [engine] fires here),
+    tests the step and applies the damped update, as [stop] (default
+    {!default_stop}) says. Sparse factors go through
+    {!Rfkit_la.Sparse_lu.factor_cached} under {!Mna.ordering_perm}, with
+    [symb] (default: a fresh cache) as the symbolic cache.
+    @raise Step_failed *)
+
+val step_jacobian :
+  ?coupling:float * Rfkit_la.Vec.t ->
+  Mna.t ->
+  scheme:scheme ->
+  dt:float ->
+  Rfkit_la.Vec.t ->
+  Rfkit_la.Sparse.t
+(** The step's sparse Jacobian at [x], also the left-hand matrix of its
+    monodromy recurrence. *)
 
 val run :
   ?method_:method_ ->
@@ -85,7 +138,7 @@ val certify :
   result ->
   Rfkit_solve.Certify.certificate
 (** A-posteriori verification of a transient result: finiteness plus the
-    re-evaluated implicit-step residual of [method_] (the method that
+    re-evaluated {!implicit_step} residual of [method_] (the method that
     produced the result) at up to 64 steps spread across the run,
     normalized per step by the excitation scale. [tol_scale] multiplies
     every threshold.

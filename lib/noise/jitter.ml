@@ -8,36 +8,12 @@ type ensemble = {
   variances : float array;
 }
 
-(* one backward-Euler step with a frozen noise current on the right-hand
-   side (Euler-Maruyama treatment of the diffusion term); every step of
-   every trajectory stamps the same C/dt + G pattern, so the caller-held
-   symbolic [cache] turns all but the first factor into refactors *)
-let noisy_step ?perm ~cache c ~x_prev ~dt ~i_noise =
-  let n = Mna.size c in
-  let q0 = Mna.eval_q c x_prev in
-  let x = Vec.copy x_prev in
-  let ok = ref false in
-  let iter = ref 0 in
-  while (not !ok) && !iter < 50 do
-    incr iter;
-    let q1 = Mna.eval_q c x and f1 = Mna.eval_f c x in
-    let r =
-      Vec.init n (fun i -> ((q1.(i) -. q0.(i)) /. dt) +. f1.(i) -. i_noise.(i))
-    in
-    let j =
-      Sparse.add
-        (Sparse.scale (1.0 /. dt) (Mna.jac_c_sparse c x))
-        (Mna.jac_g_sparse c x)
-    in
-    let dx = Sparse_lu.solve (Sparse_lu.factor_cached ?perm cache j) r in
-    let step = Vec.norm_inf dx in
-    if step <= 1e-12 *. Float.max 1.0 (Vec.norm_inf x) then ok := true
-    else begin
-      let scale = if step > 5.0 then 5.0 /. step else 1.0 in
-      Vec.axpy (-.scale) dx x
-    end
-  done;
-  x
+let engine = "jitter"
+
+(* Euler-Maruyama: one backward-Euler step with the frozen noise current
+   as the right-hand side, solved until the Newton step vanishes (the
+   residual test never passes) *)
+let stop = { Tran.default_stop with res_abs = neg_infinity; step_rel = 1e-12 }
 
 let run ?(seed = 42) ?(trajectories = 24) ?(noise_scale = 1.0) orbit ~periods ~node =
   let c = orbit.Shooting.circuit in
@@ -51,7 +27,8 @@ let run ?(seed = 42) ?(trajectories = 24) ?(noise_scale = 1.0) orbit ~periods ~n
     (* threshold = orbit mean of the observed node *)
     Stats.mean (Mat.col orbit.Shooting.samples idx)
   in
-  let perm = Mna.ordering_perm c in
+  (* every step of every trajectory stamps the same C/dt + G pattern, so
+     one symbolic cache turns all but the first factor into refactors *)
   let cache = ref None in
   let total_steps = periods * m in
   let max_crossings = periods - 1 in
@@ -62,9 +39,6 @@ let run ?(seed = 42) ?(trajectories = 24) ?(noise_scale = 1.0) orbit ~periods ~n
     let t = ref 0.0 in
     let count = ref 0 in
     for _step = 1 to total_steps do
-      (* one Newton-solved SDE step per poll: interrupts and deadlines
-         abort the ensemble typed instead of after all trajectories *)
-      Rfkit_solve.Deadline.check ();
       let i_noise = Vec.create n in
       Array.iteri
         (fun j (src : Device.noise_source) ->
@@ -74,7 +48,15 @@ let run ?(seed = 42) ?(trajectories = 24) ?(noise_scale = 1.0) orbit ~periods ~n
             Vec.axpy amp patterns.(j) i_noise
           end)
         sources;
-      let x_next = noisy_step ?perm ~cache c ~x_prev:!x ~dt ~i_noise in
+      let x_next =
+        try
+          Tran.implicit_step ~stop ~symb:cache ~engine ~rhs:i_noise c ~scheme:Tran.Be
+            ~x_prev:!x ~t_prev:!t ~dt
+        (* the step polls Guard: interrupts and deadlines abort the
+           ensemble mid-trajectory, a non-finite iterate ends it typed *)
+        with Tran.Step_failed { time; cause } ->
+          Rfkit_solve.Error.fail ~engine ~time ~cause "noisy step failed"
+      in
       let t_next = !t +. dt in
       let v_prev = !x.(idx) and v_next = x_next.(idx) in
       if v_prev < level && v_next >= level && !count < max_crossings then begin

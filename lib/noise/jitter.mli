@@ -5,7 +5,10 @@
     ensemble of trajectories, extracts threshold-crossing times, and
     measures how the crossing-time variance grows — the paper's claim is
     {e exactly linear} growth, with slope equal to the diffusion constant
-    [c] computed by {!Phase_noise.analyze}. *)
+    [c] computed by {!Phase_noise.analyze}. Each step is
+    {!Rfkit_circuit.Tran.implicit_step} (engine ["jitter"]) with the
+    frozen noise current as its right-hand side, solved until the Newton
+    step vanishes, under one symbolic LU cache for the whole ensemble. *)
 
 type ensemble = {
   crossing_index : int array;   (** cycle number of each measured crossing *)
@@ -24,7 +27,9 @@ val run :
 (** Simulate [trajectories] noisy runs over [periods] cycles, measuring
     upward mean-crossings of the named node. [noise_scale] multiplies
     every device PSD (useful to exaggerate tiny thermal noise so the
-    statistics converge in reasonable ensemble sizes). *)
+    statistics converge in reasonable ensemble sizes).
+    @raise Rfkit_solve.Error.No_convergence when a step fails (a Newton
+    stall, a singular Jacobian or a non-finite iterate). *)
 
 val fitted_slope : ensemble -> float * float
 (** [(slope, r2)] of variance vs. mean crossing time: the Monte-Carlo

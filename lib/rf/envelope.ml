@@ -15,10 +15,15 @@ type result = {
   slices : Mat.t array;
 }
 
-let with_slice i t f =
-  try f ()
-  with Error.No_convergence e ->
-    raise (Error.No_convergence { e with Error.engine; slice = Some i; time = Some t })
+(* a slice's periodic solve; a failure is tagged with its slow index and
+   instant *)
+let slice_solve i t ?coupling c ~b ~period2 ~steps ~y0 =
+  match Slice.solve_periodic_outcome ?coupling c ~b ~period2 ~steps ~y0 with
+  | Supervisor.Converged (traj, _) -> traj
+  | Supervisor.Failed f ->
+      raise
+        (Error.No_convergence
+           { (Error.of_failure ~engine f) with slice = Some i; time = Some t })
 
 let run_core ~options c ~f1 ~f2 ~t1_stop =
   let { steps2; n1 } = options in
@@ -28,10 +33,7 @@ let run_core ~options c ~f1 ~f2 ~t1_stop =
   let xdc = Dc.dc_point c in
   let b_of t1 tau = Mpde.eval_b2 c ~f1 ~f2 t1 tau in
   (* slice 0: fast-periodic steady state with slow sources frozen at 0 *)
-  let slice0 =
-    with_slice 0 0.0 (fun () ->
-        Slice.solve_periodic c ~b:(b_of 0.0) ~period2 ~steps:steps2 ~y0:xdc)
-  in
+  let slice0 = slice_solve 0 0.0 c ~b:(b_of 0.0) ~period2 ~steps:steps2 ~y0:xdc in
   let slices = Array.make (n1 + 1) slice0 in
   for i = 1 to n1 do
     let prev = slices.(i - 1) in
@@ -39,9 +41,7 @@ let run_core ~options c ~f1 ~f2 ~t1_stop =
     let coupling = { Slice.h1; q_ref } in
     let y0 = Mat.row prev 0 in
     slices.(i) <-
-      with_slice i t1s.(i) (fun () ->
-          Slice.solve_periodic ~coupling c ~b:(b_of t1s.(i)) ~period2 ~steps:steps2
-            ~y0)
+      slice_solve i t1s.(i) ~coupling c ~b:(b_of t1s.(i)) ~period2 ~steps:steps2 ~y0
   done;
   ({ circuit = c; f2; t1s; slices }, n1 + 1)
 

@@ -17,11 +17,13 @@ type result = {
   sweeps : int;
 }
 
-(* tag an inner slice failure with the slow-slice index it came from *)
-let with_slice i f =
-  try f ()
-  with Error.No_convergence e ->
-    raise (Error.No_convergence { e with Error.engine; slice = Some i })
+(* a slice's periodic solve; a failure is tagged with the slow-slice
+   index it came from *)
+let slice_solve i ?coupling c ~b ~period2 ~steps ~y0 =
+  match Slice.solve_periodic_outcome ?coupling c ~b ~period2 ~steps ~y0 with
+  | Supervisor.Converged (traj, _) -> traj
+  | Supervisor.Failed f ->
+      raise (Error.No_convergence { (Error.of_failure ~engine f) with slice = Some i })
 
 let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let { n1; steps2; max_sweeps; tol } = options in
@@ -33,9 +35,7 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let xdc = Dc.dc_point c in
   let b_of i tau = Mpde.eval_b2 c ~f1 ~f2 t1s.(i) tau in
   let slices =
-    Array.init n1 (fun i ->
-        with_slice i (fun () ->
-            Slice.solve_periodic c ~b:(b_of i) ~period2 ~steps:steps2 ~y0:xdc))
+    Array.init n1 (fun i -> slice_solve i c ~b:(b_of i) ~period2 ~steps:steps2 ~y0:xdc)
   in
   let q_of_slice s =
     Array.init steps2 (fun k -> Mna.eval_q c (Mat.row slices.(s) k))
@@ -51,10 +51,7 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
       let prev = (i + n1 - 1) mod n1 in
       let coupling = { Slice.h1; q_ref = q_of_slice prev } in
       let y0 = Mat.row slices.(i) 0 in
-      let updated =
-        with_slice i (fun () ->
-            Slice.solve_periodic ~coupling c ~b:(b_of i) ~period2 ~steps:steps2 ~y0)
-      in
+      let updated = slice_solve i ~coupling c ~b:(b_of i) ~period2 ~steps:steps2 ~y0 in
       let change = Mat.max_abs (Mat.sub updated slices.(i)) in
       if change > !max_change then max_change := change;
       slices.(i) <- updated

@@ -53,40 +53,26 @@ let delay_matrix ~k ~period1 ~delay =
   let s = Array.init m_count (fun m -> period1 *. float_of_int m /. float_of_int m_count) in
   delay_matrix_at ~kmax:k ~period1 ~delay s
 
-(* integrate one fast period from y0 starting at absolute time t0 *)
-let integrate_fast c ~y0 ~t0 ~period2 ~steps ~with_monodromy =
-  let n = Mna.size c in
+(* backward-Euler fast-period steps, tagged and stopped as transient
+   steps, with a fresh symbolic LU per step and a fresh factor per
+   monodromy step *)
+let stepper =
+  {
+    Shooting.engine = "tran";
+    gear2 = false;
+    start = Tran.default_stop;
+    stop = Tran.default_stop;
+    period_cache = false;
+  }
+
+(* one fast period from y0 starting at absolute time t0; step k arrives
+   at (t0 + (k-1) h) + h, where a transient stepping on from
+   t0 + (k-1) h arrives *)
+let integrate_phase ?with_monodromy c ~t0 ~period2 ~steps y0 =
   let h = period2 /. float_of_int steps in
-  let traj = Mat.make (steps + 1) n in
-  Mat.set_row traj 0 y0;
-  let mono = ref (if with_monodromy then Mat.identity n else Mat.make 0 0) in
-  let x = ref (Vec.copy y0) in
-  for kk = 1 to steps do
-    let t_prev = t0 +. (float_of_int (kk - 1) *. h) in
-    let x_prev = !x in
-    let x_next =
-      try Tran.implicit_step c ~method_:Tran.Backward_euler ~x_prev ~t_prev ~dt:h
-      with Tran.Step_failed t ->
-        Error.fail ~engine ~time:t
-          ~cause:(Supervisor.Newton_stall { iterations = kk; residual = infinity })
-          (Printf.sprintf "step failed at t=%g" t)
-    in
-    if with_monodromy then begin
-      let c1 = Mna.jac_c_sparse c x_next and g1 = Mna.jac_g_sparse c x_next in
-      let j = Sparse.add (Sparse.scale (1.0 /. h) c1) g1 in
-      let c0 = Sparse.scale (1.0 /. h) (Mna.jac_c_sparse c x_prev) in
-      let f =
-        try Sparse_lu.factor j
-        with Lu.Singular ->
-          Error.fail ~engine ~cause:Supervisor.Singular_jacobian
-            "singular step Jacobian"
-      in
-      mono := Sparse_lu.solve_mat f (Sparse.matmat c0 !mono)
-    end;
-    Mat.set_row traj kk x_next;
-    x := x_next
-  done;
-  (traj, !mono)
+  Shooting.integrate ?with_monodromy stepper c
+    ~time:(fun k -> t0 +. (float_of_int (k - 1) *. h) +. h)
+    ~h ~m:steps y0
 
 let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let { slow_harmonics = k; steps2; max_newton; tol } = options in
@@ -119,12 +105,16 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let y =
     Array.init m_count (fun m ->
         let b tau = Mna.eval_b c (s.(m) +. tau) in
-        try
-          let traj = Slice.solve_periodic c ~b ~period2 ~steps:steps2 ~y0:xdc in
-          total_steps := !total_steps + (steps2 * 8);
-          Mat.row traj 0
-        (* Newton updates every phase in place: no two may share xdc *)
-        with Slice.No_convergence _ -> Vec.copy xdc)
+        match Slice.solve_periodic_outcome c ~b ~period2 ~steps:steps2 ~y0:xdc with
+        | Supervisor.Converged (traj, _) ->
+            total_steps := !total_steps + (steps2 * 8);
+            Mat.row traj 0
+        | Supervisor.Failed f ->
+            (* an interrupt or deadline is not a failed slice: re-raise
+               it; otherwise start from DC. Newton updates every phase
+               in place: no two may share xdc *)
+            Supervisor.reraise_abort f;
+            Vec.copy xdc)
   in
   let dim = m_count * n in
   let iters = ref 0 in
@@ -137,9 +127,7 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
     let phis = Array.make m_count [||] in
     let monos = Array.make m_count (Mat.make 0 0) in
     for m = 0 to m_count - 1 do
-      let traj, mono =
-        integrate_fast c ~y0:y.(m) ~t0:s.(m) ~period2 ~steps:steps2 ~with_monodromy:true
-      in
+      let traj, mono = integrate_phase c ~t0:s.(m) ~period2 ~steps:steps2 y.(m) in
       total_steps := !total_steps + steps2;
       phis.(m) <- Mat.row traj steps2;
       monos.(m) <- mono
@@ -200,7 +188,7 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
   let slices =
     Array.init m_count (fun m ->
         let traj, _ =
-          integrate_fast c ~y0:y.(m) ~t0:s.(m) ~period2 ~steps:steps2 ~with_monodromy:false
+          integrate_phase ~with_monodromy:false c ~t0:s.(m) ~period2 ~steps:steps2 y.(m)
         in
         total_steps := !total_steps + steps2;
         Mat.init steps2 n (fun kk i -> Mat.get traj kk i))
@@ -230,6 +218,7 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
       in
       try solve_core ~options ~iter_cap c ~f1 ~f2 with
       | Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats)
+      | Tran.Step_failed { cause; _ } -> Error (cause, Supervisor.no_stats)
       | Guard.Non_finite_found { iter; index } ->
           Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats))
     ()

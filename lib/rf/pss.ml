@@ -135,7 +135,7 @@ let reintegrate_period c ~period ~steps x0 =
   let dt = period /. float_of_int steps in
   let x = ref (Vec.copy x0) and t = ref 0.0 in
   for _ = 1 to steps do
-    x := Tran.implicit_step c ~method_:Tran.Trapezoidal ~x_prev:!x ~t_prev:!t ~dt;
+    x := Tran.implicit_step c ~scheme:Tran.Trap ~x_prev:!x ~t_prev:!t ~dt;
     t := !t +. dt
   done;
   !x

@@ -27,118 +27,88 @@ type result = {
   integration_steps : int;
 }
 
-(* One Gear-2 (BDF2) step: solve
-     (3 q(x1) - 4 q(x0) + q(x_m1)) / (2h) + f(x1) = b(t1)
-   by damped Newton. BDF2 is the standard shooting integrator: unlike
-   backward Euler it does not damp oscillator amplitudes to first order,
-   and unlike trapezoidal it does not make algebraic MNA rows oscillate
-   (which would park a Floquet multiplier at -1 and break (M - I)). *)
-let gear2_step ?(damping = 5.0) ?symb c ~x_prev ~x_prev2 ~t1 ~h =
-  let symb = match symb with Some r -> r | None -> ref None in
-  let n = Mna.size c in
-  let q0 = Mna.eval_q c x_prev and qm1 = Mna.eval_q c x_prev2 in
-  let b1 = Mna.eval_b c t1 in
-  let x = Vec.copy x_prev in
-  let ok = ref false in
-  let iter = ref 0 in
-  while (not !ok) && !iter < 50 do
-    incr iter;
-    let q1 = Mna.eval_q c x and f1 = Mna.eval_f c x in
-    let r =
-      Vec.init n (fun i ->
-          (((3.0 *. q1.(i)) -. (4.0 *. q0.(i)) +. qm1.(i)) /. (2.0 *. h))
-          +. f1.(i) -. b1.(i))
-    in
-    (* residual scale: the q/h terms dominate, so an absolute tolerance is
-       meaningless -- converge on the Newton step size instead *)
-    if Vec.norm_inf r <= 1e-11 *. Float.max 1.0 (Vec.norm_inf b1) +. 1e-13 then
-      ok := true
-    else begin
-      let j =
-        Sparse.add
-          (Sparse.scale (1.5 /. h) (Mna.jac_c_sparse c x))
-          (Mna.jac_g_sparse c x)
-      in
-      let dx =
-        try Sparse_lu.solve (Sparse_lu.factor_cached symb j) r
-        with Lu.Singular ->
-          Error.fail ~engine ~time:t1 ~cause:Supervisor.Singular_jacobian
-            "singular Gear2 step Jacobian"
-      in
-      Guard.check ~engine ~iter:!iter dx;
-      let step = Vec.norm_inf dx in
-      if step <= 1e-11 *. Float.max 1.0 (Vec.norm_inf x) then ok := true
-      else begin
-        let scale = if step > damping then damping /. step else 1.0 in
-        Vec.axpy (-.scale) dx x
-      end
-    end
-  done;
-  if not !ok then raise (Tran.Step_failed t1);
-  x
+type stepper = {
+  engine : string;
+  gear2 : bool;
+  start : Tran.stop;
+  stop : Tran.stop;
+  period_cache : bool;
+}
 
-(* Integrate one period from x0 with m implicit steps (BE start-up step,
-   Gear-2 afterwards), propagating the monodromy; [t_offset] positions the
-   sources in absolute time. Monodromy recurrences:
-     BE:    (C1/h + G1)        dx1 = (C0/h) dx0
-     Gear2: (3C1/(2h) + G1)    dx1 = (2/h) C0 dx0 - (1/(2h)) C_m1 dx_m1
-   Returns (trajectory including endpoint, monodromy). *)
-let integrate_period ?(with_monodromy = true) ?damping c ~x0 ~period ~m ~t_offset =
+(* Gear-2 (BDF2) is the standard shooting integrator: unlike backward
+   Euler it does not damp oscillator amplitudes to first order, and unlike
+   trapezoidal it does not make algebraic MNA rows oscillate (which would
+   park a Floquet multiplier at -1 and break (M - I)). Its residual is
+   dominated by the q/h terms, so it also stops on a vanishing Newton
+   step. *)
+let gear2_stop ~damping =
+  { Tran.max_iter = 50; res_abs = 1e-13; res_rel = 1e-11; step_rel = 1e-11; damping }
+
+(* the steps poll Guard and the fault hooks as transient steps: a
+   singular plan for "shooting" fires in its (M - I) Newton only *)
+let stepper ~damping =
+  {
+    engine = "tran";
+    gear2 = true;
+    start = Tran.default_stop;
+    stop = gear2_stop ~damping;
+    period_cache = true;
+  }
+
+(* One period from x0 in m steps of h: a backward-Euler start step, then
+   Gear-2 or BE steps; step k arrives at [time k] and sees the sources
+   [b (time k)]. The monodromy M = dx_m/dx0 is propagated alongside:
+     BE:    (a_c C1 + G1) M1 = (C0/h) M0
+     Gear2: (a_c C1 + G1) M1 = (2/h) C0 M0 - (1/(2h)) C_-1 M_-1
+   with the step's own Jacobian on the left. The monodromy is dense, but
+   every product against it is a sparse matmat and every solve a sparse
+   LU. *)
+let integrate ?(with_monodromy = true) ?coupling ?b st c ~time ~h ~m x0 =
   let n = Mna.size c in
-  (* one symbolic LU analysis serves every step Jacobian of the period:
-     BE and Gear2 companion matrices share the C-union-G pattern *)
-  let symb = ref None in
-  let h = period /. float_of_int m in
+  let b = match b with Some b -> b | None -> Mna.eval_b c in
+  let perm = Mna.ordering_perm c in
+  (* with [period_cache] one symbolic LU analysis serves every step and
+     monodromy factor of the period: BE and Gear-2 companion matrices
+     share the C-union-G pattern *)
+  let period_symb = ref None in
+  let symb = if st.period_cache then Some period_symb else None in
   let traj = Mat.make (m + 1) n in
   Mat.set_row traj 0 x0;
   let mono = ref (if with_monodromy then Mat.identity n else Mat.make 0 0) in
-  let mono_prev = ref (if with_monodromy then Mat.identity n else Mat.make 0 0) in
-  let x = ref (Vec.copy x0) in
-  let x_prev2 = ref (Vec.copy x0) in
+  let mono_prev = ref !mono in
+  let x = ref (Vec.copy x0) and x_prev2 = ref (Vec.copy x0) in
   for k = 1 to m do
-    let t1 = t_offset +. (float_of_int k *. h) in
+    let t1 = time k in
     let x_prev = !x in
+    let scheme = if st.gear2 && k > 1 then Tran.Gear2 !x_prev2 else Tran.Be in
+    (* the coupling reference is sampled at the arrival instant; the grid
+       is periodic so step [m] wraps to index 0 *)
+    let coupling = Option.map (fun (inv_h1, q_ref) -> (inv_h1, q_ref.(k mod m))) coupling in
     let x_next =
-      if k = 1 then
-        Tran.implicit_step ~symb c ~method_:Tran.Backward_euler ~x_prev
-          ~t_prev:(t1 -. h) ~dt:h
-      else gear2_step ?damping ~symb c ~x_prev ~x_prev2:!x_prev2 ~t1 ~h
+      Tran.implicit_step
+        ~stop:(if k = 1 then st.start else st.stop)
+        ?symb ~engine:st.engine ~rhs:(b t1) ?coupling c ~scheme ~x_prev
+        ~t_prev:(t1 -. h) ~dt:h
     in
     if with_monodromy then begin
-      (* step Jacobians and monodromy propagation through the sparse
-         stamps: the monodromy itself is dense, but every product against
-         it is a sparse matmat and every solve a sparse LU *)
-      let c1 = Mna.jac_c_sparse c x_next and g1 = Mna.jac_g_sparse c x_next in
-      if k = 1 then begin
-        let j = Sparse.add (Sparse.scale (1.0 /. h) c1) g1 in
-        let c0 = Sparse.scale (1.0 /. h) (Mna.jac_c_sparse c x_prev) in
-        let f =
-          try Sparse_lu.factor_cached symb j
-          with Lu.Singular ->
-            Error.fail ~engine ~time:t1 ~cause:Supervisor.Singular_jacobian
-              "singular step Jacobian"
-        in
-        mono_prev := Mat.identity n;
-        mono := Sparse_lu.solve_mat f (Sparse.matmat c0 (Mat.identity n))
-      end
-      else begin
-        let j = Sparse.add (Sparse.scale (1.5 /. h) c1) g1 in
-        let c0 = Mna.jac_c_sparse c x_prev and cm1 = Mna.jac_c_sparse c !x_prev2 in
-        let rhs =
-          Mat.sub
-            (Sparse.matmat (Sparse.scale (2.0 /. h) c0) !mono)
-            (Sparse.matmat (Sparse.scale (0.5 /. h) cm1) !mono_prev)
-        in
-        let f =
-          try Sparse_lu.factor_cached symb j
-          with Lu.Singular ->
-            Error.fail ~engine ~time:t1 ~cause:Supervisor.Singular_jacobian
-              "singular step Jacobian"
-        in
-        let m_next = Sparse_lu.solve_mat f rhs in
-        mono_prev := !mono;
-        mono := m_next
-      end
+      let j = Tran.step_jacobian ?coupling c ~scheme ~dt:h x_next in
+      let f =
+        try
+          if st.period_cache then Sparse_lu.factor_cached ?perm period_symb j
+          else Sparse_lu.factor ?perm j
+        with Lu.Singular ->
+          raise (Tran.Step_failed { time = t1; cause = Supervisor.Singular_jacobian })
+      in
+      let rhs =
+        match scheme with
+        | Tran.Gear2 x_m1 ->
+            Mat.sub
+              (Sparse.matmat (Sparse.scale (2.0 /. h) (Mna.jac_c_sparse c x_prev)) !mono)
+              (Sparse.matmat (Sparse.scale (0.5 /. h) (Mna.jac_c_sparse c x_m1)) !mono_prev)
+        | _ -> Sparse.matmat (Sparse.scale (1.0 /. h) (Mna.jac_c_sparse c x_prev)) !mono
+      in
+      mono_prev := !mono;
+      mono := Sparse_lu.solve_mat f rhs
     end;
     Mat.set_row traj k x_next;
     x_prev2 := x_prev;
@@ -146,86 +116,87 @@ let integrate_period ?(with_monodromy = true) ?damping c ~x0 ~period ~m ~t_offse
   done;
   (traj, !mono)
 
-let newton_shooting ?damping ?(iter_cap = max_int) c ~x_init ~period ~m ~options =
-  let n = Mna.size c in
-  let x0 = ref (Vec.copy x_init) in
-  let iters = ref 0 in
-  let total_steps = ref 0 in
-  let converged = ref false in
-  let last_res = ref infinity in
-  let final = ref None in
-  let cap = min options.max_newton iter_cap in
-  while (not !converged) && !iters < cap do
-    incr iters;
-    let traj, mono = integrate_period ?damping c ~x0:!x0 ~period ~m ~t_offset:0.0 in
-    total_steps := !total_steps + m;
-    let xt = Mat.row traj m in
-    let r = Vec.sub xt !x0 in
-    last_res := Vec.norm_inf r;
-    if Vec.norm_inf r <= options.tol *. Float.max 1.0 (Vec.norm_inf xt) then begin
-      converged := true;
-      final := Some (traj, mono)
-    end
+(* Newton on x0 for phi(x0) - x0 = 0, phi one period of [period]:
+   (M - I) dx = -(phi(x0) - x0). A step failure, a singular (M - I) or a
+   non-finite update ends it with its cause; [Error] carries the
+   iterations spent and the last residual. *)
+let newton ~engine ~max_newton ~tol period x_init =
+  let n = Array.length x_init in
+  let x0 = Vec.copy x_init in
+  let iters = ref 0 and last_res = ref infinity in
+  let stats () =
+    { Supervisor.iterations = !iters; residual = !last_res; krylov_iterations = 0 }
+  in
+  let rec loop () =
+    if !iters >= max_newton then
+      Error (Supervisor.Newton_stall { iterations = !iters; residual = !last_res }, stats ())
     else begin
-      (* (M - I) dx = -r *)
-      if Faults.singular_now ~engine then
-        Error.fail ~engine ~cause:Supervisor.Singular_jacobian
-          "M - I singular (injected)";
-      let a = Mat.sub mono (Mat.identity n) in
-      let dx =
-        try Lu.solve (Lu.factor a) (Vec.neg r)
-        with Lu.Singular ->
-          Error.fail ~engine ~cause:Supervisor.Singular_jacobian
-            "M - I singular (try autonomous solver?)"
-      in
-      Guard.check ~engine ~iter:!iters dx;
-      Vec.add_inplace dx !x0
+      incr iters;
+      let traj, mono = period x0 in
+      let xt = Mat.row traj (traj.Mat.rows - 1) in
+      let r = Vec.sub xt x0 in
+      last_res := Vec.norm_inf r;
+      if !last_res <= tol *. Float.max 1.0 (Vec.norm_inf xt) then Ok (traj, mono, stats ())
+      else begin
+        if Faults.singular_now ~engine then raise Lu.Singular;
+        let dx = Lu.solve (Lu.factor (Mat.sub mono (Mat.identity n))) (Vec.neg r) in
+        Guard.check ~engine ~iter:!iters dx;
+        Vec.add_inplace dx x0;
+        loop ()
+      end
     end
-  done;
-  match !final with
-  | Some (traj, mono) -> (traj, mono, !iters, !total_steps)
-  | None ->
-      Error.fail ~engine
-        ~cause:
-          (Supervisor.Newton_stall { iterations = !iters; residual = !last_res })
-        "shooting Newton did not converge"
+  in
+  try loop () with
+  | Tran.Step_failed { cause; _ } -> Error (cause, stats ())
+  | Lu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
+  | Guard.Non_finite_found { iter; index } ->
+      Error (Supervisor.Non_finite { iter; index }, stats ())
+
+(* one period of m steps from x0, the sources positioned from t_offset *)
+let one_period ?with_monodromy st c ~period ~m ~t_offset x0 =
+  let h = period /. float_of_int m in
+  integrate ?with_monodromy st c ~time:(fun k -> t_offset +. (float_of_int k *. h)) ~h ~m x0
 
 let solve_core ~options ~damping ~iter_cap ?x0 c ~freq =
   let period = 1.0 /. freq in
   let m = options.steps_per_period in
   let n = Mna.size c in
+  let st = stepper ~damping in
   let x_init =
     match x0 with
     | Some v -> Vec.copy v
     | None ->
         let start = Dc.dc_point c in
-        if options.warm_periods = 0 then start
-        else begin
-          let traj = ref start in
-          for p = 0 to options.warm_periods - 1 do
-            let t_offset = float_of_int p *. period in
-            let tr, _ =
-              integrate_period ~with_monodromy:false ~damping c ~x0:!traj ~period
-                ~m ~t_offset
-            in
-            traj := Mat.row tr m
-          done;
-          !traj
-        end
+        let x = ref start in
+        for p = 0 to options.warm_periods - 1 do
+          let tr, _ =
+            one_period ~with_monodromy:false st c ~period ~m
+              ~t_offset:(float_of_int p *. period) !x
+          in
+          x := Mat.row tr m
+        done;
+        !x
   in
-  let traj, mono, iters, steps =
-    newton_shooting ~damping ~iter_cap c ~x_init ~period ~m ~options
-  in
-  {
-    circuit = c;
-    period;
-    x0 = Mat.row traj 0;
-    times = Vec.init m (fun k -> period *. float_of_int k /. float_of_int m);
-    samples = Mat.init m n (fun k i -> Mat.get traj k i);
-    monodromy = mono;
-    newton_iters = iters;
-    integration_steps = steps + (options.warm_periods * m);
-  }
+  match
+    newton ~engine ~max_newton:(min options.max_newton iter_cap) ~tol:options.tol
+      (one_period st c ~period ~m ~t_offset:0.0)
+      x_init
+  with
+  | Error (cause, _) -> Error (cause, Supervisor.no_stats)
+  | Ok (traj, mono, st) ->
+      let res =
+        {
+          circuit = c;
+          period;
+          x0 = Mat.row traj 0;
+          times = Vec.init m (fun k -> period *. float_of_int k /. float_of_int m);
+          samples = Mat.init m n (fun k i -> Mat.get traj k i);
+          monodromy = mono;
+          newton_iters = st.Supervisor.iterations;
+          integration_steps = (st.Supervisor.iterations + options.warm_periods) * m;
+        }
+      in
+      Ok (res, { Supervisor.iterations = res.newton_iters; residual = 0.0; krylov_iterations = 0 })
 
 let default_damping = 5.0
 
@@ -244,26 +215,9 @@ let solve_outcome ?budget ?(options = default_options) ?x0 c ~freq =
         | Supervisor.Warm_start p -> (default_damping, { options with warm_periods = p })
         | _ -> (default_damping, options)
       in
-      try
-        let res = solve_core ~options ~damping ~iter_cap ?x0 c ~freq in
-        Ok
-          ( res,
-            {
-              Supervisor.iterations = res.newton_iters;
-              residual = 0.0;
-              krylov_iterations = 0;
-            } )
-      with
-      | Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats)
-      | Guard.Non_finite_found { iter; index } ->
-          Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats)
-      (* an implicit step of the period integration diverged: typed as a
-         stall, as Tran.run_outcome does, so the ladder (and the PSS
-         cascade above it) moves on instead of unwinding *)
-      | Tran.Step_failed _ ->
-          Error
-            ( Supervisor.Newton_stall { iterations = 0; residual = infinity },
-              Supervisor.no_stats ))
+      (* a step of a warm-up period failed: its own typed cause *)
+      try solve_core ~options ~damping ~iter_cap ?x0 c ~freq with
+      | Tran.Step_failed { cause; _ } -> Error (cause, Supervisor.no_stats))
     ()
 
 (* crude period estimate from mean crossings of the widest-swinging state *)
@@ -303,11 +257,12 @@ let solve_autonomous ?(options = default_options) c ~freq_guess ~kick =
   (* Gear-2 for the warm-up as well: backward Euler's numerical damping can
      balance a weak oscillator's anti-damping at a spurious amplitude,
      stranding the Newton iteration far from the true orbit *)
+  let st = stepper ~damping:default_damping in
   let xi = ref (Vec.copy x) in
   for p = 0 to warm - 1 do
     let traj, _ =
-      integrate_period ~with_monodromy:false c ~x0:!xi ~period:period_guess ~m
-        ~t_offset:(float_of_int p *. period_guess)
+      one_period ~with_monodromy:false st c ~period:period_guess ~m
+        ~t_offset:(float_of_int p *. period_guess) !xi
     in
     for k = 1 to m do
       Mat.set_row warm_traj ((p * m) + k) (Mat.row traj k)
@@ -350,9 +305,7 @@ let solve_autonomous ?(options = default_options) c ~freq_guess ~kick =
   let final = ref None in
   while (not !converged) && !iters < options.max_newton do
     incr iters;
-    let traj, mono =
-      integrate_period c ~x0:!x0 ~period:!period ~m ~t_offset:0.0
-    in
+    let traj, mono = one_period st c ~period:!period ~m ~t_offset:0.0 !x0 in
     steps := !steps + m;
     let xt = Mat.row traj m in
     let r = Vec.sub xt !x0 in
@@ -365,8 +318,8 @@ let solve_autonomous ?(options = default_options) c ~freq_guess ~kick =
       (* dphi/dT by forward difference on the period *)
       let dT = 1e-6 *. !period in
       let traj2, _ =
-        integrate_period ~with_monodromy:false c ~x0:!x0 ~period:(!period +. dT) ~m
-          ~t_offset:0.0
+        one_period ~with_monodromy:false st c ~period:(!period +. dT) ~m ~t_offset:0.0
+          !x0
       in
       steps := !steps + m;
       let dphi = Vec.scale (1.0 /. dT) (Vec.sub (Mat.row traj2 m) xt) in

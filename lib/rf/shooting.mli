@@ -1,11 +1,14 @@
-(** Shooting method for periodic steady state.
+(** Shooting method for periodic steady state, and the library's one
+    period integrator and shooting Newton.
 
     Newton iteration on [phi_T(x0) - x0 = 0] where [phi_T] integrates the
     circuit over one period with Gear-2 (BDF2) -- the integrator of choice
     for shooting because it neither damps oscillation amplitudes (backward
     Euler's flaw) nor parks algebraic-constraint multipliers at -1
     (trapezoidal's flaw on DAEs); the monodromy matrix
-    [M = d phi_T / d x0] is propagated alongside the integration. This is
+    [M = d phi_T / d x0] is propagated alongside the integration (see
+    {!integrate}: one symbolic LU cache serves a period's steps and
+    monodromy factors under the circuit's ordering). This is
     the classical univariate method the paper benchmarks MMFT against
     (Fig 5), and its monodromy output is the input to the Floquet/phase-
     noise machinery of Section 3.
@@ -35,6 +38,63 @@ type result = {
   newton_iters : int;
   integration_steps : int;          (** total BE steps spent *)
 }
+
+(** {1 The period integrator and the shooting Newton}
+
+    Also behind {!Slice} (hierarchical shooting, the envelope method) and
+    {!Mmft}. *)
+
+type stepper = {
+  engine : string;  (** the steps' Guard and fault-hook engine *)
+  gear2 : bool;  (** Gear-2 after the start step, else backward Euler *)
+  start : Rfkit_circuit.Tran.stop;  (** the backward-Euler start step's *)
+  stop : Rfkit_circuit.Tran.stop;  (** every later step's *)
+  period_cache : bool;
+      (** one symbolic LU cache for a period's steps and monodromy
+          factors; else one per step and a fresh factor per monodromy
+          step *)
+}
+
+val integrate :
+  ?with_monodromy:bool ->
+  ?coupling:float * Rfkit_la.Vec.t array ->
+  ?b:(float -> Rfkit_la.Vec.t) ->
+  stepper ->
+  Rfkit_circuit.Mna.t ->
+  time:(int -> float) ->
+  h:float ->
+  m:int ->
+  Rfkit_la.Vec.t ->
+  Rfkit_la.Mat.t * Rfkit_la.Mat.t
+(** [integrate st c ~time ~h ~m x0]: [m] steps of [h] from [x0] through
+    {!Rfkit_circuit.Tran.implicit_step}, step [k] arriving at [time k]
+    with sources [b (time k)] (default {!Rfkit_circuit.Mna.eval_b}) and,
+    given [coupling] [(1/h1, q_ref)], the MPDE term of [q_ref.(k mod m)].
+    Returns the [(m+1) x n] trajectory and the monodromy [dx_m/dx_0]
+    (empty without [with_monodromy]), propagated with each step's own
+    Jacobian:
+
+    {v BE:    (a_c C1 + G1) M1 = (C0/h) M0
+    Gear2: (a_c C1 + G1) M1 = (2/h) C0 M0 - (1/(2h)) C_-1 M_-1 v}
+    @raise Rfkit_circuit.Tran.Step_failed also for a singular monodromy
+    factor. *)
+
+val newton :
+  engine:string ->
+  max_newton:int ->
+  tol:float ->
+  (Rfkit_la.Vec.t -> Rfkit_la.Mat.t * Rfkit_la.Mat.t) ->
+  Rfkit_la.Vec.t ->
+  ( Rfkit_la.Mat.t * Rfkit_la.Mat.t * Rfkit_solve.Supervisor.stats,
+    Rfkit_solve.Supervisor.cause * Rfkit_solve.Supervisor.stats )
+  Stdlib.result
+(** [newton ~engine ~max_newton ~tol period x0]: Newton on
+    [phi(x0) - x0 = 0] with [(M - I) dx = -(phi(x0) - x0)], [period]
+    giving one period's trajectory and monodromy; converged at
+    [|phi(x0) - x0| <= tol * max 1 |phi(x0)|], with that period's
+    trajectory and monodromy. A failed step, a singular [M - I] (or a
+    singular fault plan for [engine]) or a non-finite update ends it
+    with its cause. Both sides carry the iterations and last residual. *)
 
 val solve_outcome :
   ?budget:Rfkit_solve.Supervisor.budget ->

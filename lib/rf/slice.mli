@@ -8,27 +8,14 @@
 
     where [q_ref] comes from the neighbouring slow-time slice. With
     [h1 = infinity] (no coupling) this reduces to an ordinary forced
-    periodic problem. Solved by backward-Euler shooting with monodromy. *)
-
-exception No_convergence of Rfkit_solve.Error.t
-(** Rebinding of the shared {!Rfkit_solve.Error.No_convergence}. *)
+    periodic problem. Solved by backward-Euler shooting with monodromy:
+    the steps are {!Rfkit_circuit.Tran.implicit_step} with the coupling
+    term, the period integrator and the (M - I) Newton are
+    {!Shooting.integrate} and {!Shooting.newton}. Each step has its own
+    symbolic LU cache, each monodromy factor a fresh analysis. *)
 
 type coupling = { h1 : float; q_ref : Rfkit_la.Vec.t array }
 (** [q_ref.(k)] is the reference charge at fast step [k] (length = steps). *)
-
-val integrate :
-  ?damping:float ->
-  ?coupling:coupling ->
-  Rfkit_circuit.Mna.t ->
-  b:(float -> Rfkit_la.Vec.t) ->
-  period2:float ->
-  steps:int ->
-  y0:Rfkit_la.Vec.t ->
-  with_monodromy:bool ->
-  Rfkit_la.Mat.t * Rfkit_la.Mat.t
-(** One fast period from [y0]: [(trajectory (steps+1) x n, monodromy)].
-    The monodromy matrix is empty when [with_monodromy] is false.
-    [damping] caps the inner Newton step inf-norm (default 5.0). *)
 
 val solve_periodic_outcome :
   ?budget:Rfkit_solve.Supervisor.budget ->
@@ -41,18 +28,8 @@ val solve_periodic_outcome :
   steps:int ->
   y0:Rfkit_la.Vec.t ->
   Rfkit_la.Mat.t Rfkit_solve.Supervisor.outcome
-(** Supervised periodic solve: base attempt, then a tightened-damping
-    retry; NaN guards and fault hooks active in the inner Newton loops. *)
-
-val solve_periodic :
-  ?max_newton:int ->
-  ?tol:float ->
-  ?coupling:coupling ->
-  Rfkit_circuit.Mna.t ->
-  b:(float -> Rfkit_la.Vec.t) ->
-  period2:float ->
-  steps:int ->
-  y0:Rfkit_la.Vec.t ->
-  Rfkit_la.Mat.t
 (** Periodic solution of the slice: trajectory of [steps] samples (the
-    endpoint equals the start). [y0] seeds the shooting Newton. *)
+    endpoint equals the start), [y0] seeding the shooting Newton. The
+    fast step [k] sees the sources [b (k period2 / steps)].
+    Supervised: base attempt, then a tightened-damping retry; NaN guards
+    and fault hooks (engine ["slice"]) active in the inner Newton loops. *)

@@ -108,6 +108,12 @@ let structural_failure ~engine ~rank ~size =
     f_elapsed = 0.0;
   }
 
+let reraise_abort f =
+  match f.cause with
+  | Interrupted -> raise Deadline.Interrupted
+  | Deadline_exceeded { seconds } -> raise (Deadline.Expired seconds)
+  | _ -> ()
+
 let run ?(budget = default_budget) ~engine ~ladder ~attempt () =
   let t0 = Unix.gettimeofday () in
   let elapsed () = Unix.gettimeofday () -. t0 in

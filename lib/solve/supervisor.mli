@@ -113,6 +113,13 @@ val structural_failure : engine:string -> rank:int -> size:int -> failure
     engine returns when its structural pre-flight rejects the system
     without spending any budget. *)
 
+val reraise_abort : failure -> unit
+(** Re-raise the {!Deadline} exception behind an {!Interrupted} or
+    {!Deadline_exceeded} failure; return on any other. A caller that
+    falls back to a default on failure calls it first, so an abort
+    reaches the enclosing supervisor instead of degrading into the
+    default. *)
+
 val run :
   ?budget:budget ->
   engine:string ->

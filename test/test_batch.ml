@@ -393,6 +393,34 @@ let test_ac_noise_keep_dc_cause () =
   | Pipeline.Failed (Pipeline.Engine { Sup.f_engine = "dc"; cause = Sup.Interrupted; _ }) -> ()
   | _ -> Alcotest.fail "an interrupted DC seed must fail typed as Interrupted"
 
+(* an output node the deck lacks is refused before any engine runs, and
+   the refused job counts no factorization of an earlier one *)
+let test_unknown_node_typed () =
+  let c = Pipeline.circuit (lowpass_deck ()) in
+  let msg = "no node zzz in deck" and freqs = [| 1e3 |] in
+  ignore (Pipeline.run c Pipeline.Dc);
+  let refused = Pipeline.run ~node:"zzz" c (Pipeline.Ac { source = None; freqs }) in
+  expect_unsupported "ac" msg refused;
+  check_int "refused job factors nothing" 0 (La.Sparse_lu.fill_nnz ());
+  expect_unsupported "tran" msg
+    (Pipeline.run ~node:"zzz" c (Pipeline.Tran { t_stop = 1e-6; dt = 1e-8 }));
+  expect_unsupported "noise" msg (Pipeline.run c (Pipeline.Noise { node = "zzz"; freqs }));
+  expect_unsupported "ground" "no node 0 in deck"
+    (Pipeline.run ~node:"0" c (Pipeline.Ac { source = None; freqs }));
+  let cfg = { (sweep_cfg ()) with Runner.node = "zzz" } in
+  let jobs = Expand.expand ~axes:[] ~corners:[] ~analyses:[ Spec.Dc; Spec.Tran { t_stop = 1e-6; dt = 1e-8 } ] in
+  let outcome =
+    Runner.run cfg
+      ~cache:(Cache.create ~enabled:false ~dir:"_unused" ())
+      ~telemetry:(quiet_telemetry 2) jobs
+  in
+  match outcome.Runner.results with
+  | [| Some dc; Some tran |] ->
+      check_bool "dc reads no node" true (dc.Runner.status = Runner.Ok);
+      check_bool "swept tran typed" true
+        (contains_sub ~sub:({|"cause":"|} ^ msg ^ {|"|}) tran.Runner.payload)
+  | _ -> Alcotest.fail "jobs never ran"
+
 let test_job_parse_error_typed () =
   let cfg = { (sweep_cfg ()) with Runner.deck_text = "V1 a 0 DC 1\nR1 a 0 {RX}\n" } in
   let jobs = Expand.expand ~axes:[] ~corners:[] ~analyses:[ Spec.Dc ] in
@@ -886,6 +914,7 @@ let suite =
         Alcotest.test_case "ac and noise keep the DC cause" `Quick
           test_ac_noise_keep_dc_cause;
         Alcotest.test_case "job parse error is typed" `Quick test_job_parse_error_typed;
+        Alcotest.test_case "unknown output node is typed" `Quick test_unknown_node_typed;
       ] );
     ( "batch.journal",
       [

@@ -416,6 +416,18 @@ let test_ground_is_not_an_unknown () =
        false
      with Not_found -> true)
 
+let test_unknown_node_is_not_created () =
+  let nl = divider () in
+  let c = Mna.build nl in
+  let nodes = Netlist.node_count nl in
+  Alcotest.(check bool) "unknown name raises" true
+    (try
+       ignore (Mna.node c "zzz");
+       false
+     with Not_found -> true);
+  Alcotest.(check int) "netlist unchanged" nodes (Netlist.node_count nl);
+  Alcotest.(check bool) "still unknown" true (Netlist.find_node nl "zzz" = None)
+
 let test_deck_rejects_bad_directive () =
   Alcotest.(check bool) "raises" true
     (try
@@ -547,6 +559,7 @@ let suite =
       [
         tc "floating node" test_floating_node_fails_gracefully;
         tc "ground not unknown" test_ground_is_not_an_unknown;
+        tc "unknown node not created" test_unknown_node_is_not_created;
         tc "bad directive" test_deck_rejects_bad_directive;
       ] );
     ("circuit.properties", List.map QCheck_alcotest.to_alcotest qcheck_suite);
