@@ -615,8 +615,8 @@ let hb_cmd =
 let shooting_cmd =
   let doc = "shooting-method periodic steady state" in
   let freq = Arg.(value & opt float 1e6 & info [ "freq" ] ~doc:"Fundamental frequency.") in
-  let run path no_lint freq steps harmonics node inject no_certify scale stats =
-    let _, c = one_job ~no_lint ~stats path in
+  let run path no_lint freq steps harmonics node inject no_certify scale stats ordering =
+    let _, c = one_job ~ordering ~no_lint ~stats path in
     arm_injection ~engine:"shooting" inject;
     print_shooting c ~freq ~node ~harmonics
       (analysis ?certify:(certify_of no_certify scale) ~node c
@@ -626,7 +626,8 @@ let shooting_cmd =
     Term.(
       const run $ deck_arg $ no_lint_arg $ freq $ steps_arg $ harmonics_arg
       $ node_arg "out"
-      $ inject_singular_arg $ no_certify_arg $ certify_scale_arg $ stats_arg)
+      $ inject_singular_arg $ no_certify_arg $ certify_scale_arg $ stats_arg
+      $ ordering_arg)
 
 let mmft_cmd =
   let doc = "mixed frequency-time quasi-periodic steady state" in
@@ -637,14 +638,15 @@ let mmft_cmd =
       value & opt int 3
       & info [ "slow-harmonics" ] ~doc:"Slow-axis Fourier order K (2K+1 phases).")
   in
-  let run path no_lint f1 f2 slow_harmonics node stats =
-    let _, c = one_job ~no_lint ~stats path in
+  let run path no_lint f1 f2 slow_harmonics node stats ordering =
+    let _, c = one_job ~ordering ~no_lint ~stats path in
     print_mmft c ~f1 ~f2 ~slow_harmonics ~node
       (analysis ~node c (Pipeline.Mmft { f1; f2; slow_harmonics }))
   in
   Cmd.v (Cmd.info "mmft" ~doc)
     Term.(
-      const run $ deck_arg $ no_lint_arg $ f1 $ f2 $ k $ node_arg "out" $ stats_arg)
+      const run $ deck_arg $ no_lint_arg $ f1 $ f2 $ k $ node_arg "out" $ stats_arg
+      $ ordering_arg)
 
 (* ------------------------------------------------------------- sweep -- *)
 

@@ -1,4 +1,3 @@
-open Cx
 type stats = { iterations : int; residual : float; converged : bool }
 
 exception Non_finite of int
@@ -9,29 +8,13 @@ let id_precond v = v
    every later Givens rotation and axpy into NaN soup, so fail fast with
    the offending unknown index. [norm] is a cheap pre-check — only when
    it is non-finite do we pay for the scan. *)
-let guard_real norm (w : Vec.t) =
+let guard norm (w : Vec.t) =
   if not (Float.is_finite norm) then begin
     let n = Array.length w in
     let idx = ref 0 in
     (try
        for i = 0 to n - 1 do
          if not (Float.is_finite w.(i)) then begin
-           idx := i;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    raise (Non_finite !idx)
-  end
-
-let guard_complex norm (w : Cvec.t) =
-  if not (Float.is_finite norm) then begin
-    let n = Array.length w in
-    let idx = ref 0 in
-    (try
-       for i = 0 to n - 1 do
-         if not (Float.is_finite w.(i).Cx.re && Float.is_finite w.(i).Cx.im)
-         then begin
            idx := i;
            raise Exit
          end
@@ -48,7 +31,7 @@ let gmres_cycle ~m ~tol ~bnorm precond a b x0 =
   let ax0 = a x0 in
   let r0 = precond (Vec.sub b ax0) in
   let beta = Vec.norm2 r0 in
-  guard_real beta r0;
+  guard beta r0;
   if beta <= tol *. bnorm then (x0, beta, 0, true)
   else begin
     let v = Array.make (m + 1) [||] in
@@ -69,7 +52,7 @@ let gmres_cycle ~m ~tol ~bnorm precond a b x0 =
            Vec.axpy (-.hik) v.(i) w
          done;
          let hk1 = Vec.norm2 w in
-         guard_real hk1 w;
+         guard hk1 w;
          Mat.set h (k + 1) k hk1;
          if hk1 > 1e-300 then v.(k + 1) <- Vec.scale (1.0 /. hk1) w
          else v.(k + 1) <- Vec.create n;
@@ -131,98 +114,6 @@ let gmres ?(m = 30) ?(tol = 1e-10) ?(max_iter = 2000) ?(precond = id_precond) a 
   while (not !converged) && !total < max_iter do
     let m_eff = min m (max_iter - !total) in
     let x', r, k, ok = gmres_cycle ~m:m_eff ~tol ~bnorm precond a b !x in
-    x := x';
-    res := r;
-    total := !total + max 1 k;
-    converged := ok
-  done;
-  (!x, { iterations = !total; residual = !res; converged = !converged })
-
-(* Complex GMRES: same structure with complex Givens rotations. *)
-let gmres_complex_cycle ~m ~tol ~bnorm precond a b x0 =
-  let n = Array.length b in
-  let r0 = precond (Cvec.sub b (a x0)) in
-  let beta = Cvec.norm2 r0 in
-  guard_complex beta r0;
-  if beta <= tol *. bnorm then (x0, beta, 0, true)
-  else begin
-    let v = Array.make (m + 1) [||] in
-    v.(0) <- Cvec.scale_re (1.0 /. beta) r0;
-    let h = Cmat.make (m + 1) m in
-    let cs = Array.make m Cx.zero and sn = Array.make m Cx.zero in
-    let g = Array.make (m + 1) Cx.zero in
-    g.(0) <- Cx.re beta;
-    let k_done = ref 0 in
-    let converged = ref false in
-    (try
-       for k = 0 to m - 1 do
-         let w = precond (a v.(k)) in
-         for i = 0 to k do
-           let hik = Cvec.dot v.(i) w in
-           Cmat.set h i k hik;
-           Cvec.axpy (Cx.neg hik) v.(i) w
-         done;
-         let hk1 = Cvec.norm2 w in
-         guard_complex hk1 w;
-         Cmat.set h (k + 1) k (Cx.re hk1);
-         if hk1 > 1e-300 then v.(k + 1) <- Cvec.scale_re (1.0 /. hk1) w
-         else v.(k + 1) <- Cvec.create n;
-         for i = 0 to k - 1 do
-           let hik = Cmat.get h i k and hik1 = Cmat.get h (i + 1) k in
-           let t = ((conj cs.(i) *: hik) +: (conj sn.(i) *: hik1)) in
-           Cmat.set h (i + 1) k ((neg sn.(i) *: hik) +: (cs.(i) *: hik1));
-           Cmat.set h i k t
-         done;
-         let hkk = Cmat.get h k k and hk1k = Cmat.get h (k + 1) k in
-         let d = Float.sqrt (Cx.abs2 hkk +. Cx.abs2 hk1k) in
-         if d = 0.0 then begin
-           cs.(k) <- Cx.one;
-           sn.(k) <- Cx.zero
-         end
-         else begin
-           cs.(k) <- Cx.scale (1.0 /. d) hkk;
-           sn.(k) <- Cx.scale (1.0 /. d) hk1k
-         end;
-         Cmat.set h k k (Cx.re d);
-         Cmat.set h (k + 1) k Cx.zero;
-         g.(k + 1) <- (neg sn.(k) *: g.(k));
-         g.(k) <- (conj cs.(k) *: g.(k));
-         k_done := k + 1;
-         if Cx.abs g.(k + 1) <= tol *. bnorm then begin
-           converged := true;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    let k = !k_done in
-    let y = Array.make k Cx.zero in
-    for i = k - 1 downto 0 do
-      let s = ref g.(i) in
-      for j = i + 1 to k - 1 do
-        s := (!s -: (Cmat.get h i j *: y.(j)))
-      done;
-      y.(i) <- (!s /: Cmat.get h i i)
-    done;
-    let x = Cvec.copy x0 in
-    for i = 0 to k - 1 do
-      Cvec.axpy y.(i) v.(i) x
-    done;
-    (x, Cx.abs g.(k), k, !converged)
-  end
-
-let gmres_complex ?(m = 30) ?(tol = 1e-10) ?(max_iter = 2000)
-    ?(precond = fun (v : Cvec.t) -> v) a b =
-  let bnorm =
-    let nb = Cvec.norm2 (precond b) in
-    if nb = 0.0 then 1.0 else nb
-  in
-  let x = ref (Cvec.create (Array.length b)) in
-  let total = ref 0 in
-  let res = ref infinity in
-  let converged = ref false in
-  while (not !converged) && !total < max_iter do
-    let m_eff = min m (max_iter - !total) in
-    let x', r, k, ok = gmres_complex_cycle ~m:m_eff ~tol ~bnorm precond a b !x in
     x := x';
     res := r;
     total := !total + max 1 k;

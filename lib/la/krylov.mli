@@ -10,10 +10,10 @@
 type stats = { iterations : int; residual : float; converged : bool }
 
 exception Non_finite of int
-(** Raised by {!gmres}/{!gmres_complex} when a residual or Arnoldi basis
-    vector picks up a NaN/Inf; the payload is the first offending unknown
-    index. Failing fast here keeps one poisoned entry from silently
-    corrupting the whole Krylov basis. *)
+(** Raised by {!gmres} when a residual or Arnoldi basis vector picks up
+    a NaN/Inf; the payload is the first offending unknown index. Failing
+    fast here keeps one poisoned entry from silently corrupting the whole
+    Krylov basis. *)
 
 val gmres :
   ?m:int ->
@@ -26,15 +26,6 @@ val gmres :
 (** [gmres ?m ?tol ?max_iter ?precond a b] solves [a x = b] by restarted
     GMRES(m). [m] is the restart length (default 30), [tol] the relative
     residual target (default 1e-10). *)
-
-val gmres_complex :
-  ?m:int ->
-  ?tol:float ->
-  ?max_iter:int ->
-  ?precond:(Cvec.t -> Cvec.t) ->
-  (Cvec.t -> Cvec.t) ->
-  Cvec.t ->
-  Cvec.t * stats
 
 val cg :
   ?tol:float ->

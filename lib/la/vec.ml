@@ -45,8 +45,23 @@ let dot x y =
 
 let norm2 x = sqrt (dot x x)
 
-let norm_inf x = Array.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0.0 x
-let norm1 x = Array.fold_left (fun m xi -> m +. Float.abs xi) 0.0 x
+(* Loops over a local float ref, which the compiler keeps unboxed. Every
+   |x_i| has a clear sign bit, so "take a when a > m or a is NaN" is
+   [Float.max m a] bit for bit: once NaN, NaN. *)
+let norm_inf x =
+  let m = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    let a = Float.abs x.(i) in
+    if a > !m || Float.is_nan a then m := a
+  done;
+  !m
+
+let norm1 x =
+  let s = ref 0.0 in
+  for i = 0 to Array.length x - 1 do
+    s := !s +. Float.abs x.(i)
+  done;
+  !s
 
 let dist2 x y =
   check2 x y;

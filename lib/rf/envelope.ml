@@ -31,7 +31,7 @@ let run_core ~options c ~f1 ~f2 ~t1_stop =
   let h1 = t1_stop /. float_of_int n1 in
   let t1s = Vec.init (n1 + 1) (fun i -> float_of_int i *. h1) in
   let xdc = Dc.dc_point c in
-  let b_of t1 tau = Mpde.eval_b2 c ~f1 ~f2 t1 tau in
+  let b_of t1 tau = Mpde.eval_bn c ~tones:[| f1; f2 |] [| t1; tau |] in
   (* slice 0: fast-periodic steady state with slow sources frozen at 0 *)
   let slice0 = slice_solve 0 0.0 c ~b:(b_of 0.0) ~period2 ~steps:steps2 ~y0:xdc in
   let slices = Array.make (n1 + 1) slice0 in
@@ -54,16 +54,19 @@ let run_outcome ?budget ?(options = default_options) c ~f1 ~f2 ~t1_stop =
         | Supervisor.Refine_timestep f -> { options with n1 = options.n1 * f }
         | _ -> options
       in
-      try
-        let res, slices_solved = run_core ~options c ~f1 ~f2 ~t1_stop in
-        Ok
-          ( res,
-            {
-              Supervisor.iterations = slices_solved;
-              residual = 0.0;
-              krylov_iterations = 0;
-            } )
-      with Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats))
+      match Mpde.off_tone_source c ~tones:[| f1; f2 |] with
+      | Some msg -> Error (Supervisor.Unsupported msg, Supervisor.no_stats)
+      | None -> (
+          try
+            let res, slices_solved = run_core ~options c ~f1 ~f2 ~t1_stop in
+            Ok
+              ( res,
+                {
+                  Supervisor.iterations = slices_solved;
+                  residual = 0.0;
+                  krylov_iterations = 0;
+                } )
+          with Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats)))
     ()
 
 let envelope_magnitude res name ~harmonic =

@@ -31,9 +31,11 @@ val run_outcome :
   result Rfkit_solve.Supervisor.outcome
 (** March the envelope from the fast-periodic state at [t1 = 0] to
     [t1_stop]. [f1] identifies which source components live on the slow
-    axis (see {!Mpde.split_wave}). Supervised: base attempt, then a retry
-    with twice the slow-axis resolution (halving the coupling step).
-    Stats count solved slices as iterations. *)
+    axis (see {!Mpde.split_wave_multi}); a source aligned with neither
+    tone fails fast with {!Rfkit_solve.Supervisor.Unsupported}.
+    Supervised: base attempt, then a retry with twice the slow-axis
+    resolution (halving the coupling step). Stats count solved slices as
+    iterations. *)
 
 val envelope_magnitude : result -> string -> harmonic:int -> Rfkit_la.Vec.t
 (** Amplitude of the given fast harmonic of a node voltage at each slow

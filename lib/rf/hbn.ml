@@ -52,31 +52,53 @@ let unflatten dims flat =
 
 let signed_bin k n = if k <= n / 2 then k else k - n
 
+type derivative = Spectral | Backward_difference
+
+(* The symbol of sum_a d/dt_a at one mix bin. Both discretizations are
+   circulant on the periodic grid, so the FFT diagonalizes them:
+   - spectral: i w_m, with even-grid Nyquist bins zeroed so d/dt stays real;
+   - backward difference: sum_a (1 - e^{-2 pi i k_a / n_a}) / h_a, whose
+     Nyquist term 2 / h_a is real and kept.
+   Signed bins make the symbol of bin -m the exact conjugate of bin m's. *)
+let bin_symbol derivative ~periods ~dims m =
+  match derivative with
+  | Spectral ->
+      let w = ref 0.0 in
+      Array.iteri
+        (fun a ka ->
+          let n = dims.(a) in
+          let k = if n mod 2 = 0 && ka = n / 2 then 0 else signed_bin ka n in
+          w := !w +. (2.0 *. Float.pi /. periods.(a) *. float_of_int k))
+        m;
+      Cx.im !w
+  | Backward_difference ->
+      let re = ref 0.0 and im = ref 0.0 in
+      Array.iteri
+        (fun a ka ->
+          let n = dims.(a) in
+          let h = periods.(a) /. float_of_int n in
+          let theta = 2.0 *. Float.pi *. float_of_int (signed_bin ka n) /. float_of_int n in
+          re := !re +. ((1.0 -. cos theta) /. h);
+          if 2 * ka <> n then im := !im +. (sin theta /. h))
+        m;
+      Cx.make !re !im
+
 (* The collocation grid over the torus of tone phases, with two per-bin
-   tables computed once per attempt: the angular frequency of every mix
-   bin (even-grid Nyquist bins zeroed, so d/dt stays real) and the flat
-   index of its conjugate bin -m. *)
+   tables computed once per attempt: the derivative symbol of every mix
+   bin and the flat index of its conjugate bin -m. *)
 type grid = {
   shape : int array;
   periods : float array;
   tot : int;
-  omega : float array;
+  symbol : Cx.t array;
   mirror : int array;
 }
 
-let make_grid ~tones ~dims =
+let make_grid ~derivative ~tones ~dims =
   let periods = Array.map (fun f -> 1.0 /. f) tones in
   let tot = total dims in
-  let omega =
-    Array.init tot (fun flat ->
-        let w = ref 0.0 in
-        Array.iteri
-          (fun a ka ->
-            let n = dims.(a) in
-            let k = if n mod 2 = 0 && ka = n / 2 then 0 else signed_bin ka n in
-            w := !w +. (2.0 *. Float.pi /. periods.(a) *. float_of_int k))
-          (unflatten dims flat);
-        !w)
+  let symbol =
+    Array.init tot (fun flat -> bin_symbol derivative ~periods ~dims (unflatten dims flat))
   in
   let mirror =
     Array.init tot (fun flat ->
@@ -85,7 +107,7 @@ let make_grid ~tones ~dims =
         Array.iteri (fun a ka -> acc := (!acc * dims.(a)) + ((dims.(a) - ka) mod dims.(a))) m;
         !acc)
   in
-  { shape = dims; periods; tot; omega; mirror }
+  { shape = dims; periods; tot; symbol; mirror }
 
 let grid_times g flat =
   Array.mapi
@@ -126,10 +148,10 @@ let ifftn_real dims (spec : Cvec.t) =
   done;
   Cvec.real f
 
-(* spectral application of sum_a d/dt_a to one unknown's field *)
+(* sum_a d/dt_a applied to one unknown's field, bin by bin *)
 let diffn g (field : Vec.t) =
   let spec = fftn g.shape field in
-  Array.iteri (fun flat w -> spec.(flat) <- Cx.( *: ) (Cx.im w) spec.(flat)) g.omega;
+  Array.iteri (fun flat s -> spec.(flat) <- Cx.( *: ) s spec.(flat)) g.symbol;
   ifftn_real g.shape spec
 
 (* ------------------------------------------------------------- assembly *)
@@ -172,11 +194,11 @@ let residual c g ~b (x : Vec.t) =
   r
 
 let residual_norm c ~tones ~dims x =
-  let g = make_grid ~tones ~dims in
+  let g = make_grid ~derivative:Spectral ~tones ~dims in
   Vec.norm_inf (residual c g ~b:(excitation c g ~tones) x)
 
-(* matrix-implicit HB Jacobian: two sparse matvecs per grid point plus a
-   spectral derivative per unknown *)
+(* matrix-implicit Jacobian: two sparse matvecs per grid point plus a
+   derivative per unknown *)
 let apply_jacobian g ~n ~cs ~gs (v : Vec.t) =
   let out = Vec.create (g.tot * n) and cv = Vec.create (g.tot * n) in
   for flat = 0 to g.tot - 1 do
@@ -187,9 +209,9 @@ let apply_jacobian g ~n ~cs ~gs (v : Vec.t) =
   add_derivative g ~n cv out;
   out
 
-(* dense HB Jacobian J[(p,i),(p',j)] = D[p,p'] C_p'[i,j] + delta_pp' G_p[i,j],
-   D the spectral differentiation operator over the grid; assembled from
-   the sparse stamps, small problems only *)
+(* dense Jacobian J[(p,i),(p',j)] = D[p,p'] C_p'[i,j] + delta_pp' G_p[i,j],
+   D the grid's differentiation operator; assembled from the sparse
+   stamps, small problems only *)
 let dense_jacobian g ~n ~cs ~gs =
   let tot = g.tot in
   let d = Mat.make tot tot in
@@ -223,12 +245,13 @@ let average_sparse arr =
   done;
   Sparse.scale (1.0 /. float_of_int (Array.length arr)) !acc
 
-(* Block-diagonal per-bin preconditioner P_m = j w_m C_avg + G_avg, each
-   block a Csparse factored by the complex Gilbert-Peierls LU. The input
-   is real, so bin -m is the conjugate of bin m: only one bin of each
-   conjugate pair (and each self-conjugate bin) is factored and solved,
-   the mirror is conjugated. All bins share one structural pattern
-   (Csparse.scale keeps explicit entries at w = 0), so the caller-held
+(* Block-diagonal per-bin preconditioner P_m = s_m C_avg + G_avg, s_m the
+   bin's derivative symbol, each block a Csparse factored by the complex
+   Gilbert-Peierls LU. The input is real and s_-m is the conjugate of s_m,
+   so bin -m is the conjugate of bin m: only one bin of each conjugate
+   pair (and each self-conjugate bin) is factored and solved, the mirror
+   is conjugated. All bins share one structural pattern (Csparse.scale
+   keeps explicit entries at s = 0), so the caller-held
    symbolic [cache] is analyzed once and every other bin of every Newton
    iteration is a pivot-frozen refactor. *)
 let make_preconditioner ?perm ~cache g ~n ~cs ~gs =
@@ -237,7 +260,7 @@ let make_preconditioner ?perm ~cache g ~n ~cs ~gs =
   let factors =
     Array.init g.tot (fun flat ->
         if g.mirror.(flat) >= flat then
-          let block = Csparse.add g_avg (Csparse.scale (Cx.im g.omega.(flat)) c_avg) in
+          let block = Csparse.add g_avg (Csparse.scale g.symbol.(flat) c_avg) in
           Some (Csparse_lu.factor_cached ?perm cache block)
         else None)
   in
@@ -314,7 +337,7 @@ let newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g 
                   ~cause:
                     (Supervisor.Krylov_stall
                        { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
-                  "HB GMRES did not converge";
+                  "grid GMRES did not converge";
               dx
         in
         Guard.check ~engine ~iter:!iters dx;
@@ -350,12 +373,13 @@ let newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g 
 
 (* one attempt: a dims/tones mismatch or a source aligned with no tone is
    a model limitation, refused before Newton as a fail-fast Unsupported *)
-let attempt ~engine ~solver ~precondition ~damping ~iter_cap (options, seed) c ~tones =
+let attempt ~engine ~derivative ~solver ~precondition ~damping ~iter_cap (options, seed) c
+    ~tones =
   let unsupported msg = Error (Supervisor.Unsupported msg, Supervisor.no_stats) in
   if Array.length options.dims <> Array.length tones then
     unsupported "Hbn: dims and tones length mismatch"
   else
-    let g = make_grid ~tones ~dims:options.dims in
+    let g = make_grid ~derivative ~tones ~dims:options.dims in
     match excitation c g ~tones with
     | exception Invalid_argument msg -> unsupported msg
     | b ->
@@ -369,9 +393,9 @@ let attempt ~engine ~solver ~precondition ~damping ~iter_cap (options, seed) c ~
         in
         newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g ~b x
 
-let run ?budget ?(solver = Matrix_free_gmres) ?(precondition = true) ~engine ~ladder
-    ~plan c ~tones =
-  (* structural pre-flight: every diagonal block of the HB Jacobian has
+let run ?budget ?(derivative = Spectral) ?(solver = Matrix_free_gmres) ?(precondition = true)
+    ~engine ~ladder ~plan c ~tones =
+  (* structural pre-flight: every diagonal block of the grid Jacobian has
      the union G+C pattern, so a deficient matching dooms every grid *)
   let n = Mna.size c in
   let rank = Mna.structural_rank_gc c in
@@ -384,7 +408,8 @@ let run ?budget ?(solver = Matrix_free_gmres) ?(precondition = true) ~engine ~la
           | Supervisor.Tighten_damping d -> d
           | _ -> default_damping
         in
-        attempt ~engine ~solver ~precondition ~damping ~iter_cap (plan strategy) c ~tones)
+        attempt ~engine ~derivative ~solver ~precondition ~damping ~iter_cap (plan strategy) c
+          ~tones)
       ()
 
 let solve_outcome ?budget ?options c ~tones =

@@ -1,19 +1,22 @@
-(** General n-tone quasi-periodic harmonic balance — the one
-    harmonic-balance engine of the library.
+(** General n-tone quasi-periodic harmonic balance — the one grid
+    Newton of the library, for harmonic balance and MFDTD alike.
 
     Collocation on an [n_1 x ... x n_d] grid over the torus of tone
-    phases, spectral differentiation applied axis by axis, Newton with
+    phases, the MPDE derivative applied by FFT axis by axis, Newton with
     either a dense direct solve or matrix-implicit GMRES and a
     block-diagonal per-mix-bin preconditioner. {!Hb} (one tone) and
     {!Hb2} (two tones) are thin views over {!run}: they only map their
     options and retry strategies onto this core and repackage the result.
+    {!Mfdtd} is the same kind of view with backward differences in place
+    of spectral differentiation.
 
     Conventions shared by every tone count: bin [i] along an axis of [n]
-    samples is harmonic [i] for [i <= n/2] and [i - n] above; the Nyquist
-    bin of an even axis contributes no frequency (it is unpaired, so d/dt
-    would not stay real), both in the Jacobian and in the preconditioner;
-    and since the grid is real, preconditioner bin [-m] is solved as the
-    conjugate of bin [m].
+    samples is harmonic [i] for [i <= n/2] and [i - n] above; each
+    discretization of [sum_a d/dt_a] is circulant on the periodic grid, so
+    it enters both the Jacobian and the preconditioner as one complex
+    symbol per bin (see {!derivative}); and since the grid is real and
+    the symbol of bin [-m] is the conjugate of bin [m]'s, preconditioner
+    bin [-m] is solved as the conjugate of bin [m].
 
     This engine also quantifies the paper's Section 2.1 caveat: "the
     memory and time required for Harmonic Balance simulation increase
@@ -64,6 +67,15 @@ type linear_solver = Direct | Matrix_free_gmres
 (** Newton's linear solve: the dense Jacobian through LU (small problems),
     or matrix-implicit GMRES. *)
 
+type derivative =
+  | Spectral  (** harmonic balance: symbol [i w_m]; the Nyquist bin of an
+                  even axis contributes no frequency (it is unpaired, so
+                  d/dt would not stay real) *)
+  | Backward_difference
+      (** MFDTD: symbol [sum_a (1 - exp (-2 pi i k_a / n_a)) / h_a],
+          [h_a = T_a / n_a]; its Nyquist term is real and kept *)
+(** The discretization of each [d/dt_a] on the periodic grid. *)
+
 val default_damping : float
 (** Newton step inf-norm cap outside {!Rfkit_solve.Supervisor.Tighten_damping} rungs. *)
 
@@ -72,6 +84,7 @@ val ladder : Rfkit_solve.Supervisor.strategy list
 
 val run :
   ?budget:Rfkit_solve.Supervisor.budget ->
+  ?derivative:derivative ->
   ?solver:linear_solver ->
   ?precondition:bool ->
   engine:string ->
@@ -87,7 +100,8 @@ val run :
     options and initial grid ([None] seeds every point with
     {!Rfkit_circuit.Dc.dc_point}).
     A [Tighten_damping d] rung caps the Newton step at [d], every other
-    rung at {!default_damping}. [solver] defaults to [Matrix_free_gmres];
+    rung at {!default_damping}. [derivative] defaults to [Spectral];
+    [solver] defaults to [Matrix_free_gmres];
     [precondition:false] (ablation studies only) runs GMRES bare. *)
 
 val residual_norm :

@@ -33,7 +33,7 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
   (* initial slices: uncoupled periodic solves with the slow excitation
      frozen per slice (quasi-static start) *)
   let xdc = Dc.dc_point c in
-  let b_of i tau = Mpde.eval_b2 c ~f1 ~f2 t1s.(i) tau in
+  let b_of i tau = Mpde.eval_bn c ~tones:[| f1; f2 |] [| t1s.(i); tau |] in
   let slices =
     Array.init n1 (fun i -> slice_solve i c ~b:(b_of i) ~period2 ~steps:steps2 ~y0:xdc)
   in
@@ -82,8 +82,11 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
             { options with steps2 = options.steps2 * f }
         | _ -> options
       in
-      try solve_core ~options ~iter_cap c ~f1 ~f2
-      with Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats))
+      match Mpde.off_tone_source c ~tones:[| f1; f2 |] with
+      | Some msg -> Error (Supervisor.Unsupported msg, Supervisor.no_stats)
+      | None -> (
+          try solve_core ~options ~iter_cap c ~f1 ~f2
+          with Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats)))
     ()
 
 let node_grid res name =

@@ -34,7 +34,9 @@ val solve_outcome :
   f2:float ->
   result Rfkit_solve.Supervisor.outcome
 (** Supervised solve: base attempt, then a fast-axis oversampling retry.
-    Stats count Gauss-Seidel sweeps as iterations. *)
+    Stats count Gauss-Seidel sweeps as iterations. A source frequency
+    aligned with neither tone fails fast with
+    {!Rfkit_solve.Supervisor.Unsupported}. *)
 
 val node_grid : result -> string -> Rfkit_la.Mat.t
 (** Bivariate node waveform, [n1] x [steps2]. *)

@@ -2,20 +2,23 @@
 
     Solves the MPDE (paper eq. 4) on a uniform [n1 x n2] grid over
     [[0,T1) x [0,T2)] with backward differences for both partial
-    derivatives and bi-periodic boundary conditions; Newton's method on
-    all grid unknowns with matrix-implicit GMRES (block-Jacobi
-    preconditioner) or a dense direct solve for small grids. Appropriate
-    for strongly nonlinear circuits with no sinusoidal steady-state
-    structure (the paper names power converters). *)
+    derivatives and bi-periodic boundary conditions. Appropriate for
+    strongly nonlinear circuits with no sinusoidal steady-state structure
+    (the paper names power converters).
 
-type linear_solver = Direct | Matrix_free_gmres
+    The finite-difference view of {!Hbn}: on the periodic grid the
+    backward difference is circulant, so the solve is {!Hbn.run} with
+    [~derivative:Backward_difference] on an [[| n1; n2 |]] grid with tones
+    [[| f1; f2 |]] — the same Newton loop, matrix-implicit GMRES and
+    per-bin preconditioner as harmonic balance, which is exact for the
+    difference operator of a linear circuit. This module only maps
+    options and result fields. *)
 
 type options = {
   n1 : int;
   n2 : int;
   max_newton : int;
   tol : float;
-  solver : linear_solver;
   gmres_tol : float;
 }
 
@@ -38,8 +41,11 @@ val solve_outcome :
   f1:float ->
   f2:float ->
   result Rfkit_solve.Supervisor.outcome
-(** Supervised solve: base attempt, then a tightened-damping retry. GMRES
-    stalls surface as {!Rfkit_solve.Supervisor.Krylov_stall}. *)
+(** Supervised solve: {!Hbn}'s structural pre-flight, then a base attempt
+    and a tightened-damping retry. GMRES stalls surface as
+    {!Rfkit_solve.Supervisor.Krylov_stall}; a source frequency aligned
+    with neither tone fails fast with
+    {!Rfkit_solve.Supervisor.Unsupported}. *)
 
 val node_grid : result -> string -> Rfkit_la.Mat.t
 (** Bivariate waveform of a node voltage ([n1] x [n2]). *)

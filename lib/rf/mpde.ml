@@ -8,29 +8,6 @@ let is_multiple f base =
     Float.abs (ratio -. Float.round ratio) < 1e-6 && ratio > 0.5
   end
 
-let rec split_wave ~f1 ~f2 w =
-  match w with
-  | Wave.Dc _ | Wave.Pwl _ -> (w, Wave.Dc 0.0)
-  | Wave.Sine { freq; _ } | Wave.Square { freq; _ } | Wave.Pulse { freq; _ } ->
-      (* a tone commensurate with both fundamentals (e.g. the carrier when
-         f2 is an integer multiple of f1) belongs on the axis with the
-         larger base frequency -- fewer harmonics to represent it *)
-      let first, second, fw =
-        if f2 >= f1 then (f2, f1, fun w -> (Wave.Dc 0.0, w))
-        else (f1, f2, fun w -> (w, Wave.Dc 0.0))
-      in
-      if is_multiple freq first then fw w
-      else if is_multiple freq second then begin
-        if f2 >= f1 then (w, Wave.Dc 0.0) else (Wave.Dc 0.0, w)
-      end
-      else
-        invalid_arg
-          (Printf.sprintf "Mpde.split_wave: source frequency %g matches neither %g nor %g"
-             freq f1 f2)
-  | Wave.Sum ws ->
-      let parts = List.map (split_wave ~f1 ~f2) ws in
-      (Wave.Sum (List.map fst parts), Wave.Sum (List.map snd parts))
-
 let rec split_wave_multi ~tones w =
   let d = Array.length tones in
   let zeroes () = Array.make d (Wave.Dc 0.0) in
@@ -85,28 +62,10 @@ let eval_bn c ~tones ts =
     (Netlist.devices nl);
   b
 
-let eval_b2 c ~f1 ~f2 t1 t2 =
-  let nl = Mna.netlist c in
-  let n = Mna.size c in
-  let b = Vec.create n in
-  let add idx v = if idx >= 0 then b.(idx) <- b.(idx) +. v in
-  List.iter
-    (fun d ->
-      match d with
-      | Device.Vsource { name; wave; _ } ->
-          let slow, fast = split_wave ~f1 ~f2 wave in
-          let v = Wave.eval slow t1 +. Wave.eval fast t2 in
-          (match Mna.branch_index c name with
-          | Some bi -> b.(bi) <- b.(bi) +. v
-          | None -> ())
-      | Device.Isource { p; n = nn; wave; _ } ->
-          let slow, fast = split_wave ~f1 ~f2 wave in
-          let i = Wave.eval slow t1 +. Wave.eval fast t2 in
-          add p i;
-          add nn (-.i)
-      | _ -> ())
-    (Netlist.devices nl);
-  b
+let off_tone_source c ~tones =
+  match eval_bn c ~tones (Array.make (Array.length tones) 0.0) with
+  | _ -> None
+  | exception Invalid_argument msg -> Some msg
 
 let diagonal ~period1 ~period2 (grid : Mat.t) t =
   let n1 = grid.Mat.rows and n2 = grid.Mat.cols in

@@ -10,27 +10,25 @@
     netlist's one-dimensional sources, diagonal extraction, and the
     sample-count accounting behind the paper's Figs 2-3. *)
 
-val split_wave : f1:float -> f2:float -> Rfkit_circuit.Wave.t -> Rfkit_circuit.Wave.t * Rfkit_circuit.Wave.t
-(** Partition a source into (slow, fast) parts: spectral components that
-    are (near-)integer multiples of [f1] go on axis 1, multiples of [f2]
-    on axis 2; DC and aperiodic parts ride on axis 1.
-    @raise Invalid_argument for a component aligned with neither axis. *)
-
-val eval_b2 : Rfkit_circuit.Mna.t -> f1:float -> f2:float -> float -> float -> Rfkit_la.Vec.t
-(** [eval_b2 c ~f1 ~f2 t1 t2] is the bivariate excitation
-    [b^(t1, t2)]. Satisfies [b^(t, t) = b(t)]. *)
-
 val split_wave_multi : tones:float array -> Rfkit_circuit.Wave.t -> Rfkit_circuit.Wave.t array
-(** Generalization of {!split_wave} to any number of axes: each spectral
+(** Partition a source into one part per tone axis: each spectral
     component is assigned to the axis with the largest fundamental that
-    divides its frequency; DC and aperiodic parts ride on axis 0. With a
-    single tone there is nothing to split: the result is [[| w |]].
+    divides its frequency (a component commensurate with several tones
+    needs the fewest harmonics there); DC and aperiodic parts ride on
+    axis 0. With a single tone there is nothing to split: the result is
+    [[| w |]].
     @raise Invalid_argument for a component aligned with no tone (two or
     more tones). *)
 
 val eval_bn : Rfkit_circuit.Mna.t -> tones:float array -> float array -> Rfkit_la.Vec.t
 (** Multivariate excitation [b^(t_1, ..., t_d)] for the n-tone MPDE;
-    satisfies [b^(t, ..., t) = b(t)]. *)
+    satisfies [b^(t, ..., t) = b(t)].
+    @raise Invalid_argument for a source component aligned with no tone. *)
+
+val off_tone_source : Rfkit_circuit.Mna.t -> tones:float array -> string option
+(** [Some msg] when a source of the circuit has a component aligned with
+    no tone, so {!eval_bn} would raise: the MPDE engines refuse such a
+    circuit with a typed [Unsupported] before any solve. *)
 
 val diagonal : period1:float -> period2:float -> Rfkit_la.Mat.t -> float -> float
 (** [diagonal ~period1 ~period2 grid t] evaluates the diagonal

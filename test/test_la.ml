@@ -39,6 +39,21 @@ let test_vec_ops () =
   check_float "axpy" 6.0 y.(0);
   Alcotest.(check int) "max_abs_index" 2 (Vec.max_abs_index x)
 
+(* the norms run at least twice per Newton iteration in every engine:
+   they must not box a float per element *)
+let test_vec_norms_unboxed () =
+  let x = Vec.init 3000 (fun i -> sin (float_of_int i)) in
+  let sink = ref 0.0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 50 do
+    sink := !sink +. Vec.norm_inf x +. Vec.norm1 x
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "100 norms of 3000 entries allocate %.0f minor words" words)
+    true (words < 1000.0);
+  Alcotest.(check bool) "sink finite" true (Float.is_finite !sink)
+
 let test_vec_linspace () =
   let v = Vec.linspace 0.0 1.0 5 in
   check_float "first" 0.0 v.(0);
@@ -259,19 +274,6 @@ let test_gmres_preconditioned () =
   let r = Vec.sub (Mat.matvec a x) b in
   check_float ~eps:1e-6 "residual small" 0.0 (Vec.norm2 r)
 
-let test_gmres_complex () =
-  let n = 10 in
-  let a =
-    Cmat.init n n (fun i j ->
-        if i = j then Cx.make 4.0 1.0
-        else Cx.make (0.3 /. float_of_int (1 + abs (i - j))) 0.1)
-  in
-  let b = Cvec.init n (fun i -> Cx.make 1.0 (float_of_int i *. 0.1)) in
-  let x, st = Krylov.gmres_complex ~tol:1e-12 (Cmat.matvec a) b in
-  Alcotest.(check bool) "converged" true st.Krylov.converged;
-  let r = Cvec.sub (Cmat.matvec a x) b in
-  check_float ~eps:1e-8 "residual" 0.0 (Cvec.norm2 r)
-
 let test_cg_spd () =
   let rng = make_rng 47 in
   let n = 15 in
@@ -445,7 +447,25 @@ let qcheck_suite =
       Gen.(list_size (int_range 2 12) (float_range (-10.0) 10.0))
       ~print:Print.(list float)
   in
+  let special_vec =
+    make
+      Gen.(
+        list_size (int_range 0 12)
+          (frequency
+             [
+               (6, float_range (-10.0) 10.0);
+               (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0; 0.0 ]);
+             ]))
+      ~print:Print.(list float)
+  in
   [
+    Test.make ~name:"vec: norms match the reference folds bit for bit" ~count:200 special_vec
+      (fun l ->
+        let x = Vec.of_list l in
+        let bits = Int64.bits_of_float in
+        bits (Vec.norm_inf x)
+        = bits (List.fold_left (fun m xi -> Float.max m (Float.abs xi)) 0.0 l)
+        && bits (Vec.norm1 x) = bits (List.fold_left (fun m xi -> m +. Float.abs xi) 0.0 l));
     Test.make ~name:"lu: solve then multiply is identity" ~count:50 small_vec
       (fun l ->
         let n = List.length l in
@@ -545,6 +565,7 @@ let suite =
     ( "la.vec-mat",
       [
         tc "vec ops" test_vec_ops;
+        tc "norms unboxed" test_vec_norms_unboxed;
         tc "linspace" test_vec_linspace;
         tc "mat mul" test_mat_mul;
         tc "matvec_t" test_mat_matvec_t;
@@ -577,7 +598,6 @@ let suite =
       [
         tc "gmres vs lu" test_gmres_vs_lu;
         tc "gmres preconditioned" test_gmres_preconditioned;
-        tc "gmres complex" test_gmres_complex;
         tc "cg spd" test_cg_spd;
         tc "bicgstab" test_bicgstab;
       ] );

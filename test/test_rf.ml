@@ -178,14 +178,15 @@ let test_vdp_autonomous () =
 
 let test_mpde_split_wave () =
   let w = Wave.Sum [ Wave.sine 1.0 1e3; Wave.square 2.0 1e9; Wave.Dc 0.5 ] in
-  let slow, fast = Mpde.split_wave ~f1:1e3 ~f2:1e9 w in
-  check_float "slow at t" (0.5 +. Wave.eval (Wave.sine 1.0 1e3) 1e-4) (Wave.eval slow 1e-4);
-  check_float "fast at t" (Wave.eval (Wave.square 2.0 1e9) 0.3e-9) (Wave.eval fast 0.3e-9)
+  let parts = Mpde.split_wave_multi ~tones:[| 1e3; 1e9 |] w in
+  Alcotest.(check int) "one part per tone" 2 (Array.length parts);
+  check_float "slow at t" (0.5 +. Wave.eval (Wave.sine 1.0 1e3) 1e-4) (Wave.eval parts.(0) 1e-4);
+  check_float "fast at t" (Wave.eval (Wave.square 2.0 1e9) 0.3e-9) (Wave.eval parts.(1) 0.3e-9)
 
 let test_mpde_split_rejects () =
   Alcotest.(check bool) "unalignable frequency rejected" true
     (try
-       ignore (Mpde.split_wave ~f1:1e4 ~f2:1e9 (Wave.sine 1.0 7.71e5));
+       ignore (Mpde.split_wave_multi ~tones:[| 1e4; 1e9 |] (Wave.sine 1.0 7.71e5));
        false
      with Invalid_argument _ -> true)
 
@@ -198,10 +199,34 @@ let test_mpde_diagonal_consistency () =
   let c = Mna.build nl in
   List.iter
     (fun t ->
-      let b2 = Mpde.eval_b2 c ~f1:1e3 ~f2:1e6 t t in
+      let b2 = Mpde.eval_bn c ~tones:[| 1e3; 1e6 |] [| t; t |] in
       let b1 = Mna.eval_b c t in
       check_float ~eps:1e-12 (Printf.sprintf "diag at %g" t) (Vec.norm_inf (Vec.sub b1 b2)) 0.0)
     [ 0.0; 1.23e-4; 7.7e-4 ]
+
+(* A source aligned with neither tone (3.3 MHz against 1 MHz and 10 MHz)
+   is a model limitation every two-tone engine refuses with a typed
+   failure, and the multi-rate cascade ends Exhausted rather than raising. *)
+let test_mpde_off_tone_source_typed () =
+  let c = rc_lowpass ~ampl:1.0 ~freq:3.3e6 in
+  let f1 = 1e6 and f2 = 10e6 in
+  let unsupported name = function
+    | Rfkit_solve.Supervisor.Converged _ -> Alcotest.failf "%s converged" name
+    | Rfkit_solve.Supervisor.Failed f ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s" name (Rfkit_solve.Supervisor.failure_to_string f))
+          true
+          (match f.Rfkit_solve.Supervisor.cause with
+          | Rfkit_solve.Supervisor.Unsupported _ -> true
+          | _ -> false)
+  in
+  unsupported "hb2" (Hb2.solve_outcome c ~f1 ~f2);
+  unsupported "mfdtd" (Mfdtd.solve_outcome c ~f1 ~f2);
+  unsupported "hs" (Hs.solve_outcome c ~f1 ~f2);
+  unsupported "envelope" (Envelope.run_outcome c ~f1 ~f2 ~t1_stop:(2.0 /. f1));
+  match Qpss.solve_outcome c ~f1 ~f2 with
+  | Rfkit_solve.Cascade.Exhausted _ -> ()
+  | Rfkit_solve.Cascade.Completed _ -> Alcotest.fail "qpss completed on an off-tone source"
 
 let test_mpde_cost_accounting () =
   let c1 = Mpde.Cost.compare_representations ~separation:1e3 () in
@@ -269,6 +294,38 @@ let test_mfdtd_diagonal_matches_transient () =
   let diag = Mfdtd.node_diagonal res "out" ~n:512 in
   let dc_mf = Stats.mean diag in
   check_float ~eps:0.03 "dc agreement" dc_tr dc_mf
+
+(* MFDTD pins: Newton counts and mix-product amplitudes of the backward
+   differences taken point by point, (q_i - q_{i-1}) / h per axis. The FFT
+   symbol form applies the same circulant operator, so it must reproduce
+   them to roundoff. *)
+let test_mfdtd_pins () =
+  let pin ~what ~expected actual =
+    let rel = Float.abs (actual -. expected) /. Float.abs expected in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s %.17g vs %.17g (rel %.2e)" what actual expected rel)
+      true (rel <= 1e-9)
+  in
+  let case ~what c ~f1 ~f2 ~n1 ~n2 ~node ~newton ~mixes =
+    let r =
+      converged @@ Mfdtd.solve_outcome ~options:{ Mfdtd.default_options with n1; n2 } c ~f1 ~f2
+    in
+    Alcotest.(check int) (what ^ " newton") newton r.Mfdtd.newton_iters;
+    let sol = Qpss.of_mfdtd r in
+    List.iter
+      (fun (k1, k2, expected) ->
+        pin ~what:(Printf.sprintf "%s (%d,%d)" what k1 k2) ~expected (sol.Qpss.mix node ~k1 ~k2))
+      mixes
+  in
+  let open Rfkit_circuits in
+  let m = Mixer.paper_params in
+  case ~what:"mixer 16x32" (Mixer.build m) ~f1:m.Mixer.f_rf ~f2:m.Mixer.f_lo ~n1:16 ~n2:32
+    ~node:Mixer.output_node ~newton:3
+    ~mixes:[ (-1, 1, 0.05941314156865498); (1, 1, 0.059411489143613071) ];
+  let p = Converter.default_params in
+  case ~what:"converter 12x32" (Converter.build p) ~f1:p.Converter.f_mod ~f2:p.Converter.f_pwm
+    ~n1:12 ~n2:32 ~node:Converter.output_node ~newton:3
+    ~mixes:[ (1, 0, 0.11034551905991481); (-1, 1, 0.0027273069971142836) ]
 
 (* ------------------------------------------------------------------- HS *)
 
@@ -762,7 +819,7 @@ let qcheck_suite =
         let ok = ref true in
         List.iter
           (fun t ->
-            let b2 = Mpde.eval_b2 c ~f1 ~f2 t t in
+            let b2 = Mpde.eval_bn c ~tones:[| f1; f2 |] [| t; t |] in
             let b1 = Mna.eval_b c t in
             if Vec.norm_inf (Vec.sub b1 b2) > 1e-12 then ok := false)
           [ 0.0; 3.3e-5; 8.9e-5 ];
@@ -792,6 +849,7 @@ let suite =
         tc "split wave" test_mpde_split_wave;
         tc "split rejects" test_mpde_split_rejects;
         tc "diagonal consistency" test_mpde_diagonal_consistency;
+        tc "off-tone source typed" test_mpde_off_tone_source_typed;
         tc "cost accounting" test_mpde_cost_accounting;
         tc "reconstruction error" test_mpde_reconstruction_error;
       ] );
@@ -799,6 +857,7 @@ let suite =
       [
         tc "linear two-tone" test_mfdtd_linear_two_tone;
         slow "diagonal vs transient" test_mfdtd_diagonal_matches_transient;
+        tc "pins" test_mfdtd_pins;
       ] );
     ("rf.hs", [ slow "matches mfdtd" test_hs_matches_mfdtd ]);
     ( "rf.mmft",
