@@ -25,6 +25,7 @@ let experiments =
     ("measures", Exp_measures.report, Exp_measures.bench_tests);
     ("batch", Exp_batch.report, Exp_batch.bench_tests);
     ("opt", Exp_opt.report, Exp_opt.bench_tests);
+    ("setup", Exp_setup.report, Exp_setup.bench_tests);
   ]
 
 let run_reports only =

@@ -173,7 +173,9 @@ let parse_string_located ?(overrides = []) text =
     (fun i line ->
       let lineno = i + 1 in
       let line = String.trim line in
-      if line <> "" && line.[0] <> '*' then
+      (* only a line opening with '.' can be a .param: skip tokenizing
+         every device card twice *)
+      if line <> "" && line.[0] = '.' then
         match tokenize line with
         | head :: rest when String.lowercase_ascii head = ".param" ->
             if rest = [] then

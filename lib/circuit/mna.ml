@@ -9,8 +9,12 @@ type t = {
   nl : Netlist.t;
   nn : int;  (* node unknowns *)
   total : int;
-  branches : (string * int) list;  (* device name -> branch unknown index *)
+  branch_of : (string, int) Hashtbl.t;
+      (* device name -> branch unknown; the first device of a name wins *)
+  branch_names : string array;  (* branch unknown - nn -> device name *)
   devs : Device.t array;
+  dev_branch : int array;  (* device index -> its branch unknown, -1 for none *)
+  mutable origins : int option array option;  (* per unknown, lazily *)
   mutable g_pat : pattern option;  (* lazily built, state-independent *)
   mutable c_pat : pattern option;
   (* structural (0/1-valued, device-stamped-only — no forced diagonal)
@@ -30,21 +34,32 @@ type t = {
 let build nl =
   let nn = Netlist.node_count nl in
   let devs = Array.of_list (Netlist.devices nl) in
-  let branches = ref [] in
-  let next = ref nn in
-  Array.iter
-    (fun d ->
-      if Device.has_branch_current d then begin
-        branches := (Device.name d, !next) :: !branches;
-        incr next
-      end)
-    devs;
+  let branch_names =
+    Array.of_list
+      (List.filter_map
+         (fun d -> if Device.has_branch_current d then Some (Device.name d) else None)
+         (Array.to_list devs))
+  in
+  let branch_of = Hashtbl.create (Array.length branch_names) in
+  Array.iteri
+    (fun k name ->
+      if not (Hashtbl.mem branch_of name) then Hashtbl.replace branch_of name (nn + k))
+    branch_names;
+  let dev_branch =
+    Array.map
+      (fun d ->
+        if Device.has_branch_current d then Hashtbl.find branch_of (Device.name d) else -1)
+      devs
+  in
   {
     nl;
     nn;
-    total = !next;
-    branches = List.rev !branches;
+    total = nn + Array.length branch_names;
+    branch_of;
+    branch_names;
     devs;
+    dev_branch;
+    origins = None;
     g_pat = None;
     c_pat = None;
     sg = None;
@@ -67,7 +82,7 @@ let node c name =
   | Some idx when idx <> Netlist.gnd -> idx
   | _ -> raise Not_found
 
-let branch_index c name = List.assoc_opt name c.branches
+let branch_index c name = Hashtbl.find_opt c.branch_of name
 
 let branch c name =
   match branch_index c name with
@@ -104,8 +119,8 @@ let eval_q c (x : Vec.t) =
   let q = Vec.create c.total in
   let v n = if n = Netlist.gnd then 0.0 else x.(n) in
   let addq n dv = if n <> Netlist.gnd then q.(n) <- q.(n) +. dv in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Capacitor { p; n; c = cap; _ } ->
           let vc = v p -. v n in
@@ -120,8 +135,8 @@ let eval_q c (x : Vec.t) =
           let vc = v p -. v n in
           addq p (cj *. vc);
           addq n (-.(cj *. vc))
-      | Device.Inductor { name; l; _ } ->
-          let bi = branch c name in
+      | Device.Inductor { l; _ } ->
+          let bi = c.dev_branch.(k) in
           q.(bi) <- q.(bi) +. (l *. x.(bi))
       | Device.Mosfet { name = _; d = nd; g; s; cgs; cgd; _ } ->
           let vgs = v g -. v s and vgd = v g -. v nd in
@@ -138,8 +153,8 @@ let eval_f c (x : Vec.t) =
   let f = Vec.create c.total in
   let v n = if n = Netlist.gnd then 0.0 else x.(n) in
   let addf n dv = if n <> Netlist.gnd then f.(n) <- f.(n) +. dv in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Resistor { p; n; r; _ } ->
           let i = (v p -. v n) /. r in
@@ -175,13 +190,13 @@ let eval_f c (x : Vec.t) =
             addf s id;
             addf nd (-.id)
           end
-      | Device.Vsource { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Vsource { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           addf p x.(bi);
           addf n (-.x.(bi));
           f.(bi) <- f.(bi) +. (v p -. v n)
-      | Device.Inductor { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Inductor { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           addf p x.(bi);
           addf n (-.x.(bi));
           f.(bi) <- f.(bi) -. (v p -. v n)
@@ -197,11 +212,11 @@ let eval_f c (x : Vec.t) =
 let eval_b_with c value_of =
   let b = Vec.create c.total in
   let addb n dv = if n <> Netlist.gnd then b.(n) <- b.(n) +. dv in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
-      | Device.Vsource { name; wave; _ } ->
-          let bi = branch c name in
+      | Device.Vsource { wave; _ } ->
+          let bi = c.dev_branch.(k) in
           b.(bi) <- b.(bi) +. value_of wave
       | Device.Isource { p; n; wave; _ } ->
           let i = value_of wave in
@@ -220,8 +235,8 @@ let jac_c c (x : Vec.t) =
   let stamp i j dv =
     if i <> Netlist.gnd && j <> Netlist.gnd then Mat.update m i j (fun w -> w +. dv)
   in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Capacitor { p; n; c = cap; _ } ->
           stamp p p cap;
@@ -239,8 +254,8 @@ let jac_c c (x : Vec.t) =
           stamp p n (-.cj);
           stamp n p (-.cj);
           stamp n n cj
-      | Device.Inductor { name; l; _ } ->
-          let bi = branch c name in
+      | Device.Inductor { l; _ } ->
+          let bi = c.dev_branch.(k) in
           Mat.update m bi bi (fun w -> w +. l)
       | Device.Mosfet { g; s; d = nd; cgs; cgd; _ } ->
           stamp g g (cgs +. cgd);
@@ -270,8 +285,8 @@ let jac_g c (x : Vec.t) =
     stamp n cp (-.g);
     stamp n cn g
   in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Resistor { p; n; r; _ } -> stamp_gm p n p n (1.0 /. r)
       | Device.Vccs { p; n; cp; cn; gm; _ } -> stamp_gm p n cp cn gm
@@ -296,14 +311,14 @@ let jac_g c (x : Vec.t) =
             stamp_gm s nd g nd gm;
             stamp_gm s nd s nd gds
           end
-      | Device.Vsource { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Vsource { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           stamp p bi 1.0;
           stamp n bi (-1.0);
           stamp bi p 1.0;
           stamp bi n (-1.0)
-      | Device.Inductor { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Inductor { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           stamp p bi 1.0;
           stamp n bi (-1.0);
           stamp bi p (-1.0);
@@ -326,46 +341,35 @@ let jac_g c (x : Vec.t) =
    full diagonal so gmin/shift stamping (via [Sparse.add]) and ILU(0) never
    meet a structurally missing slot. *)
 
-let pattern_of_pairs total pairs =
-  let arr = Array.of_list pairs in
-  Array.sort
-    (fun (i1, j1) (i2, j2) -> if i1 <> i2 then compare i1 i2 else compare j1 j2)
-    arr;
-  let m = Array.length arr in
-  let distinct = ref 0 in
-  for k = 0 to m - 1 do
-    if k = 0 || arr.(k) <> arr.(k - 1) then incr distinct
-  done;
-  let row_ptr = Array.make (total + 1) 0 in
-  let col_idx = Array.make !distinct 0 in
-  let pos = ref (-1) in
-  for k = 0 to m - 1 do
-    if k = 0 || arr.(k) <> arr.(k - 1) then begin
-      let i, j = arr.(k) in
-      incr pos;
-      col_idx.(!pos) <- j;
-      row_ptr.(i + 1) <- row_ptr.(i + 1) + 1
-    end
-  done;
-  for i = 0 to total - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
-  done;
-  { p_row_ptr = row_ptr; p_col_idx = col_idx }
+(* growable (i, j) coordinate buffer of device-stamped index pairs;
+   ground rows and columns are dropped on entry *)
+type pairs = { mutable pi : int array; mutable pj : int array; mutable len : int }
+
+let pairs () = { pi = Array.make 64 0; pj = Array.make 64 0; len = 0 }
+
+let push b i j =
+  if i <> Netlist.gnd && j <> Netlist.gnd then begin
+    if b.len = Array.length b.pi then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      b.pi <- grow b.pi;
+      b.pj <- grow b.pj
+    end;
+    b.pi.(b.len) <- i;
+    b.pj.(b.len) <- j;
+    b.len <- b.len + 1
+  end
 
 (* device-stamped (i, j) index pairs of G = df/dx, no forced diagonal *)
-let g_pairs c =
-  let pairs = ref [] in
-  let add i j =
-    if i <> Netlist.gnd && j <> Netlist.gnd then pairs := (i, j) :: !pairs
-  in
+let g_pairs c b =
+  let add = push b in
   let add_gm p n cp cn =
     add p cp;
     add p cn;
     add n cp;
     add n cn
   in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Resistor { p; n; _ } -> add_gm p n p n
       | Device.Vccs { p; n; cp; cn; _ } -> add_gm p n cp cn
@@ -378,14 +382,8 @@ let g_pairs c =
           add_gm nd s nd s;
           add_gm s nd g nd;
           add_gm s nd s nd
-      | Device.Vsource { name; p; n; _ } ->
-          let bi = branch c name in
-          add p bi;
-          add n bi;
-          add bi p;
-          add bi n
-      | Device.Inductor { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Vsource { p; n; _ } | Device.Inductor { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           add p bi;
           add n bi;
           add bi p;
@@ -395,17 +393,13 @@ let g_pairs c =
           add_gm p n b_p b_n
       | Device.Isource _ | Device.Capacitor _ | Device.Nl_capacitor _
       | Device.Noise_current _ -> ())
-    c.devs;
-  !pairs
+    c.devs
 
 (* device-stamped (i, j) index pairs of C = dq/dx *)
-let c_pairs c =
-  let pairs = ref [] in
-  let add i j =
-    if i <> Netlist.gnd && j <> Netlist.gnd then pairs := (i, j) :: !pairs
-  in
-  Array.iter
-    (fun d ->
+let c_pairs c b =
+  let add = push b in
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Capacitor { p; n; _ } | Device.Nl_capacitor { p; n; _ } ->
           add p p;
@@ -417,9 +411,9 @@ let c_pairs c =
           add p n;
           add n p;
           add n n
-      | Device.Inductor { name; _ } ->
-          let bi = branch c name in
-          pairs := (bi, bi) :: !pairs
+      | Device.Inductor _ ->
+          let bi = c.dev_branch.(k) in
+          add bi bi
       | Device.Mosfet { g; s; d = nd; _ } ->
           add g g;
           add g s;
@@ -431,111 +425,98 @@ let c_pairs c =
       | Device.Resistor _ | Device.Vsource _ | Device.Isource _
       | Device.Vccs _ | Device.Tanh_gm _ | Device.Cubic_conductor _
       | Device.Diode _ | Device.Mult_vccs _ | Device.Noise_current _ -> ())
-    c.devs;
-  !pairs
-
-let g_pattern c =
-  match c.g_pat with
-  | Some p -> p
-  | None ->
-      (* the factored pattern carries the full diagonal (explicit zeros)
-         so gmin/shift stamping and ILU(0) never miss a slot *)
-      let pairs = ref (g_pairs c) in
-      for i = 0 to c.total - 1 do
-        pairs := (i, i) :: !pairs
-      done;
-      let p = pattern_of_pairs c.total !pairs in
-      c.g_pat <- Some p;
-      p
-
-let c_pattern c =
-  match c.c_pat with
-  | Some p -> p
-  | None ->
-      let p = pattern_of_pairs c.total (c_pairs c) in
-      c.c_pat <- Some p;
-      p
+    c.devs
 
 (* ---- structural pre-analysis ------------------------------------------
 
    The matching/DM machinery must see only what devices actually stamp:
    the forced diagonal of the factored G pattern would make every row
    trivially matchable and hide real deficiencies. These views are
-   0/1-valued CSR matrices over the device-stamped pairs alone. *)
+   0/1-valued CSR matrices over the device-stamped pairs alone; the
+   factored patterns and the ordering's union pattern are derived from
+   them. *)
 
-let ones_of_pairs total pairs =
-  let p = pattern_of_pairs total pairs in
-  Sparse.of_csr ~rows:total ~cols:total ~row_ptr:p.p_row_ptr
-    ~col_idx:p.p_col_idx
-    ~values:(Array.make (Array.length p.p_col_idx) 1.0)
+let ones_of c stamps =
+  let b = pairs () in
+  List.iter (fun stamp -> stamp c b) stamps;
+  let row_ptr, col_idx =
+    Csr.pattern_of_pairs "Mna" ~rows:c.total ~cols:c.total b.pi b.pj b.len
+  in
+  Sparse.of_csr ~rows:c.total ~cols:c.total ~row_ptr ~col_idx
+    ~values:(Array.make (Array.length col_idx) 1.0)
+
+let cached get set build =
+  match get () with
+  | Some s -> s
+  | None ->
+      let s = build () in
+      set s;
+      s
 
 let structural_g c =
-  match c.sg with
-  | Some s -> s
-  | None ->
-      let s = ones_of_pairs c.total (g_pairs c) in
-      c.sg <- Some s;
-      s
+  cached (fun () -> c.sg) (fun s -> c.sg <- Some s) (fun () -> ones_of c [ g_pairs ])
 
 let structural_c c =
-  match c.sc with
-  | Some s -> s
-  | None ->
-      let s = ones_of_pairs c.total (c_pairs c) in
-      c.sc <- Some s;
-      s
+  cached (fun () -> c.sc) (fun s -> c.sc <- Some s) (fun () -> ones_of c [ c_pairs ])
 
 let structural_gc c =
-  match c.sgc with
-  | Some s -> s
-  | None ->
-      let s = ones_of_pairs c.total (g_pairs c @ c_pairs c) in
-      c.sgc <- Some s;
-      s
+  cached (fun () -> c.sgc) (fun s -> c.sgc <- Some s) (fun () ->
+      ones_of c [ g_pairs; c_pairs ])
+
+(* a structural view plus the full diagonal *)
+let with_diagonal c s = Sparse.add s (Sparse.scaled_identity c.total 1.0)
+
+let pattern_of s =
+  let row_ptr, col_idx, _ = Sparse.csr s in
+  { p_row_ptr = row_ptr; p_col_idx = col_idx }
+
+(* the factored G pattern carries the full diagonal (explicit zeros) so
+   gmin/shift stamping and ILU(0) never miss a slot *)
+let g_pattern c =
+  cached (fun () -> c.g_pat) (fun p -> c.g_pat <- Some p) (fun () ->
+      pattern_of (with_diagonal c (structural_g c)))
+
+let c_pattern c =
+  cached (fun () -> c.c_pat) (fun p -> c.c_pat <- Some p) (fun () ->
+      pattern_of (structural_c c))
 
 let structural_rank_g c =
-  match c.rank_g with
-  | Some r -> r
-  | None ->
-      let r = Rfkit_struct.Dm.structural_rank (structural_g c) in
-      c.rank_g <- Some r;
-      r
+  cached (fun () -> c.rank_g) (fun r -> c.rank_g <- Some r) (fun () ->
+      Rfkit_struct.Dm.structural_rank (structural_g c))
 
 let structural_rank_gc c =
-  match c.rank_gc with
-  | Some r -> r
-  | None ->
-      let r = Rfkit_struct.Dm.structural_rank (structural_gc c) in
-      c.rank_gc <- Some r;
-      r
+  cached (fun () -> c.rank_gc) (fun r -> c.rank_gc <- Some r) (fun () ->
+      Rfkit_struct.Dm.structural_rank (structural_gc c))
 
 let unknown_label c i =
   if i < c.nn then Printf.sprintf "v(%s)" (Netlist.node_name c.nl i)
-  else
-    match List.find_opt (fun (_, bi) -> bi = i) c.branches with
-    | Some (name, _) -> Printf.sprintf "i(%s)" name
-    | None -> Printf.sprintf "x[%d]" i
+  else if i < c.total then Printf.sprintf "i(%s)" c.branch_names.(i - c.nn)
+  else Printf.sprintf "x[%d]" i
 
-let unknown_origin c i =
-  if i < c.nn then
-    (* earliest deck line among the devices touching the node *)
-    Array.fold_left
-      (fun acc d ->
-        let touches =
-          List.exists (fun (_, nd) -> nd = i) (Device.terminals d)
-        in
-        match (touches, Device.origin d, acc) with
-        | true, Some l, None -> Some l
-        | true, Some l, Some a -> Some (min a l)
-        | _ -> acc)
-      None c.devs
-  else
-    match List.find_opt (fun (_, bi) -> bi = i) c.branches with
-    | Some (name, _) ->
-        Array.fold_left
-          (fun acc d -> if Device.name d = name then Device.origin d else acc)
-          None c.devs
-    | None -> None
+(* per unknown: the earliest origin among the devices touching a node,
+   and for a branch the origin of the last device bearing its name *)
+let origins c =
+  cached (fun () -> c.origins) (fun o -> c.origins <- Some o) (fun () ->
+      let o = Array.make c.total None in
+      let last_of_name = Hashtbl.create (Array.length c.branch_names) in
+      Array.iter
+        (fun d ->
+          Hashtbl.replace last_of_name (Device.name d) (Device.origin d);
+          match Device.origin d with
+          | None -> ()
+          | Some l ->
+              List.iter
+                (fun (_, nd) ->
+                  if nd >= 0 then
+                    o.(nd) <- (match o.(nd) with Some a -> Some (min a l) | None -> Some l))
+                (Device.terminals d))
+        c.devs;
+      Array.iteri
+        (fun k name -> o.(c.nn + k) <- Hashtbl.find last_of_name name)
+        c.branch_names;
+      o)
+
+let unknown_origin c i = if i >= 0 && i < c.total then (origins c).(i) else None
 
 (* ---- fill-reducing ordering -------------------------------------------- *)
 
@@ -554,11 +535,7 @@ let ordering_perm c =
       (* order on the union pattern actually factored by the engines:
          device pairs of G and C plus the forced diagonal, so the same
          permutation serves DC (G alone) and transient/HB (C/dt + aG) *)
-      let pairs = ref (g_pairs c @ c_pairs c) in
-      for i = 0 to c.total - 1 do
-        pairs := (i, i) :: !pairs
-      done;
-      let u = ones_of_pairs c.total !pairs in
+      let u = with_diagonal c (structural_gc c) in
       let p = Rfkit_struct.Order.compute c.ord_mode u in
       c.ord_perm <- Some p;
       p
@@ -587,8 +564,8 @@ let jac_c_sparse c (x : Vec.t) =
     if i <> Netlist.gnd && j <> Netlist.gnd then
       vals.(slot pat i j) <- vals.(slot pat i j) +. dv
   in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Capacitor { p; n; c = cap; _ } ->
           stamp p p cap;
@@ -606,8 +583,8 @@ let jac_c_sparse c (x : Vec.t) =
           stamp p n (-.cj);
           stamp n p (-.cj);
           stamp n n cj
-      | Device.Inductor { name; l; _ } ->
-          let bi = branch c name in
+      | Device.Inductor { l; _ } ->
+          let bi = c.dev_branch.(k) in
           vals.(slot pat bi bi) <- vals.(slot pat bi bi) +. l
       | Device.Mosfet { g; s; d = nd; cgs; cgd; _ } ->
           stamp g g (cgs +. cgd);
@@ -638,8 +615,8 @@ let jac_g_sparse c (x : Vec.t) =
     stamp n cp (-.g);
     stamp n cn g
   in
-  Array.iter
-    (fun d ->
+  Array.iteri
+    (fun k d ->
       match d with
       | Device.Resistor { p; n; r; _ } -> stamp_gm p n p n (1.0 /. r)
       | Device.Vccs { p; n; cp; cn; gm; _ } -> stamp_gm p n cp cn gm
@@ -664,14 +641,14 @@ let jac_g_sparse c (x : Vec.t) =
             stamp_gm s nd g nd gm;
             stamp_gm s nd s nd gds
           end
-      | Device.Vsource { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Vsource { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           stamp p bi 1.0;
           stamp n bi (-1.0);
           stamp bi p 1.0;
           stamp bi n (-1.0)
-      | Device.Inductor { name; p; n; _ } ->
-          let bi = branch c name in
+      | Device.Inductor { p; n; _ } ->
+          let bi = c.dev_branch.(k) in
           stamp p bi 1.0;
           stamp n bi (-1.0);
           stamp bi p (-1.0);

@@ -1,36 +1,44 @@
+(* Node names are hashed: [index] maps a name to its unknown, and
+   [names] (grown by doubling) maps an unknown back to its name, so both
+   directions are O(1) and parsing a deck is linear in its size. *)
 type t = {
-  mutable names : (string * Device.node) list;
+  index : (string, int) Hashtbl.t;
+  mutable names : string array;  (* index -> name, first [next] slots live *)
   mutable next : int;
   mutable devs : Device.t list;  (* reverse insertion order *)
 }
 
 let gnd = -1
-let create () = { names = []; next = 0; devs = [] }
+let create () = { index = Hashtbl.create 64; names = Array.make 16 ""; next = 0; devs = [] }
 
 let is_ground name = name = "0" || String.lowercase_ascii name = "gnd"
 
 let node nl name =
   if is_ground name then gnd
   else
-    match List.assoc_opt name nl.names with
+    match Hashtbl.find_opt nl.index name with
     | Some idx -> idx
     | None ->
         let idx = nl.next in
-        nl.names <- (name, idx) :: nl.names;
+        if idx = Array.length nl.names then begin
+          let grown = Array.make (2 * idx) "" in
+          Array.blit nl.names 0 grown 0 idx;
+          nl.names <- grown
+        end;
+        nl.names.(idx) <- name;
+        Hashtbl.replace nl.index name idx;
         nl.next <- idx + 1;
         idx
 
 let find_node nl name =
-  if is_ground name then Some gnd else List.assoc_opt name nl.names
+  if is_ground name then Some gnd else Hashtbl.find_opt nl.index name
 
 let node_count nl = nl.next
 
 let node_name nl idx =
   if idx = gnd then "gnd"
-  else
-    match List.find_opt (fun (_, i) -> i = idx) nl.names with
-    | Some (name, _) -> name
-    | None -> Printf.sprintf "n%d" idx
+  else if idx >= 0 && idx < nl.next then nl.names.(idx)
+  else Printf.sprintf "n%d" idx
 
 let devices nl = List.rev nl.devs
 let add nl d = nl.devs <- d :: nl.devs

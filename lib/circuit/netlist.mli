@@ -6,7 +6,12 @@
 
     Every builder takes an optional [?origin] — the 1-based deck line the
     card came from — which {!Deck.parse_string} populates so that lint and
-    runtime diagnostics can cite the offending card. *)
+    runtime diagnostics can cite the offending card.
+
+    Node names are hashed: {!node}, {!find_node} and {!node_name} are
+    O(1), so building a netlist is linear in the number of cards. Indices
+    are dense and follow first use: the [k]-th distinct non-ground name is
+    node [k]. *)
 
 type t
 
@@ -21,6 +26,9 @@ val find_node : t -> string -> Device.node option
 
 val node_count : t -> int
 val node_name : t -> Device.node -> string
+(** Name of a node index: ["gnd"] for ground, ["nK"] for an index no
+    card created. *)
+
 val devices : t -> Device.t list
 (** In insertion order. *)
 

@@ -81,3 +81,51 @@ let merge who a b =
   Array.iteri (fun k p -> col_idx.(p) <- a.col_idx.(k)) slot_a;
   Array.iteri (fun k p -> col_idx.(p) <- b.col_idx.(k)) slot_b;
   (row_ptr, col_idx, slot_a, slot_b)
+
+let pattern_of_pairs who ~rows ~cols (pi : int array) (pj : int array) len =
+  for k = 0 to len - 1 do
+    if pi.(k) < 0 || pi.(k) >= rows || pj.(k) < 0 || pj.(k) >= cols then
+      invalid_arg (who ^ ": index out of range")
+  done;
+  (* counting sort by column: col_end.(j) ends up one past column j's
+     bucket of row indices in [by_col] *)
+  let col_end = Array.make (cols + 1) 0 in
+  for k = 0 to len - 1 do
+    col_end.(pj.(k) + 1) <- col_end.(pj.(k) + 1) + 1
+  done;
+  for j = 0 to cols - 1 do
+    col_end.(j + 1) <- col_end.(j + 1) + col_end.(j)
+  done;
+  let by_col = Array.make len 0 in
+  for k = 0 to len - 1 do
+    let j = pj.(k) in
+    by_col.(col_end.(j)) <- pi.(k);
+    col_end.(j) <- col_end.(j) + 1
+  done;
+  (* distributing the buckets to rows in ascending column order leaves
+     every row sorted, so a repeat is a row seeing its last column again;
+     [f i j] runs once per distinct (i, j), the second pass fills *)
+  let last = Array.make rows (-1) in
+  let each_distinct f =
+    Array.fill last 0 rows (-1);
+    for j = 0 to cols - 1 do
+      for k = (if j = 0 then 0 else col_end.(j - 1)) to col_end.(j) - 1 do
+        let i = by_col.(k) in
+        if last.(i) <> j then begin
+          last.(i) <- j;
+          f i j
+        end
+      done
+    done
+  in
+  let row_ptr = Array.make (rows + 1) 0 in
+  each_distinct (fun i _ -> row_ptr.(i + 1) <- row_ptr.(i + 1) + 1);
+  for i = 0 to rows - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  done;
+  let col_idx = Array.make row_ptr.(rows) 0 in
+  let next = Array.sub row_ptr 0 rows in
+  each_distinct (fun i j ->
+      col_idx.(next.(i)) <- j;
+      next.(i) <- next.(i) + 1);
+  (row_ptr, col_idx)

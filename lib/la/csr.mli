@@ -38,3 +38,11 @@ val merge : string -> 'a t -> 'b t -> int array * int array * int array * int ar
 (** Pattern of the sum of two same-shape matrices: [(row_ptr, col_idx,
     slot_a, slot_b)], where entry [k] of the first matrix lands in stored
     entry [slot_a.(k)] and entry [k] of the second in [slot_b.(k)]. *)
+
+val pattern_of_pairs :
+  string -> rows:int -> cols:int -> int array -> int array -> int -> int array * int array
+(** [pattern_of_pairs who ~rows ~cols pi pj len]: the CSR pattern
+    [(row_ptr, col_idx)] of the first [len] coordinate pairs
+    [(pi.(k), pj.(k))], columns ascending within each row and repeated
+    pairs stored once. Two counting sorts, O(len + rows + cols), no
+    comparisons. *)

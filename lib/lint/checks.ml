@@ -32,23 +32,22 @@ let earliest_origin devs =
 let name_list nl nodes =
   String.concat ", " (List.map (Netlist.node_name nl) nodes)
 
-(* group the nodes failing [reached] into islands by union-find root *)
+(* group the nodes failing [reached] into islands by union-find root;
+   islands come out ordered by their lowest member, members ascending *)
 let islands_of nl graph ~reached =
-  let n = Netlist.node_count nl in
-  let groups = Hashtbl.create 8 in
-  for nd = n - 1 downto 0 do
+  let members = Hashtbl.create 8 in
+  let roots = ref [] in
+  for nd = 0 to Netlist.node_count nl - 1 do
     if not (reached nd) then begin
-      (* key the island by its lowest member seen so far *)
-      let key =
-        let rec probe k = if k = nd || Graph.connected graph k nd then k else probe (k + 1) in
-        probe 0
-      in
-      let prev = try Hashtbl.find groups key with Not_found -> [] in
-      Hashtbl.replace groups key (nd :: prev)
+      let r = Graph.root graph nd in
+      match Hashtbl.find_opt members r with
+      | Some nodes -> Hashtbl.replace members r (nd :: nodes)
+      | None ->
+          Hashtbl.replace members r [ nd ];
+          roots := r :: !roots
     end
   done;
-  Hashtbl.fold (fun _ nodes acc -> List.sort compare nodes :: acc) groups []
-  |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
+  List.rev_map (fun r -> List.rev (Hashtbl.find members r)) !roots
 
 (* ------------------------------------------------- L001 floating nodes -- *)
 
@@ -450,121 +449,124 @@ let earliest_unknown_origin c is =
 
 let unknown_labels c is = String.concat ", " (List.map (Mna.unknown_label c) is)
 
-let structural_singularity nl =
-  (* a linter must never crash on a deck it is diagnosing *)
+(* the MNA system the structural checks share; [None] when there is none
+   to examine (a linter must never crash on a deck it is diagnosing) *)
+let circuit_of nl =
   match Mna.build nl with
-  | exception _ -> []
-  | c ->
-      let n = Mna.size c in
-      if n = 0 then []
-      else begin
-        let dm = Dm.decompose (Mna.structural_g c) in
-        if dm.Dm.rank >= n then []
-        else begin
-          let l021 =
-            D.error
-              ?line:(earliest_unknown_origin c dm.Dm.over_rows)
-              ~subject:(unknown_labels c dm.Dm.over_rows) "L021"
-              (Printf.sprintf
-                 "MNA system is structurally singular (structural rank %d of %d): \
-                  the equations for %s admit no complete matching, so the matrix \
-                  is singular for every element value"
-                 dm.Dm.rank n
-                 (unknown_labels c dm.Dm.over_rows))
-          in
-          let l022 =
-            List.map
-              (fun j ->
-                D.error
-                  ?line:(Mna.unknown_origin c j)
-                  ~subject:(Mna.unknown_label c j) "L022"
-                  (Printf.sprintf
-                     "unknown %s sits in an underdetermined block (%s): no \
-                      independent equation pins it down"
-                     (Mna.unknown_label c j)
-                     (unknown_labels c dm.Dm.under_cols)))
-              dm.Dm.under_cols
-          in
-          l021 :: l022
-        end
-      end
+  | exception _ -> None
+  | c -> if Mna.size c = 0 then None else Some c
+
+let singularity_of c =
+  let n = Mna.size c in
+  let dm = Dm.decompose (Mna.structural_g c) in
+  if dm.Dm.rank >= n then []
+  else begin
+    let l021 =
+      D.error
+        ?line:(earliest_unknown_origin c dm.Dm.over_rows)
+        ~subject:(unknown_labels c dm.Dm.over_rows) "L021"
+        (Printf.sprintf
+           "MNA system is structurally singular (structural rank %d of %d): \
+            the equations for %s admit no complete matching, so the matrix \
+            is singular for every element value"
+           dm.Dm.rank n
+           (unknown_labels c dm.Dm.over_rows))
+    in
+    let l022 =
+      List.map
+        (fun j ->
+          D.error
+            ?line:(Mna.unknown_origin c j)
+            ~subject:(Mna.unknown_label c j) "L022"
+            (Printf.sprintf
+               "unknown %s sits in an underdetermined block (%s): no \
+                independent equation pins it down"
+               (Mna.unknown_label c j)
+               (unknown_labels c dm.Dm.under_cols)))
+        dm.Dm.under_cols
+    in
+    l021 :: l022
+  end
+
+let structural_singularity nl =
+  match circuit_of nl with None -> [] | Some c -> singularity_of c
 
 (* ---------------------------------------- L023 DAE index heuristic -- *)
 
-let dae_index nl =
-  match Mna.build nl with
-  | exception _ -> []
-  | c ->
-      let n = Mna.size c in
-      if n = 0 then []
-      else if Dm.structural_rank (Mna.structural_gc c) < n then
-        (* structurally singular outright: L021/L022 already own this deck *)
-        []
+let dae_index_of c =
+  let n = Mna.size c in
+  if Mna.structural_rank_gc c < n then
+    (* structurally singular outright: L021/L022 already own this deck *)
+    []
+  else begin
+    (* unknowns with no differential (C-pattern) assignment form the
+       algebraic subsystem; if its G-block is structurally deficient the
+       DAE needs differentiation of constraints to close — index >= 2 *)
+    let mc = Dm.max_matching (Mna.structural_c c) in
+    let alg_rows = ref [] and alg_cols = ref [] in
+    for i = n - 1 downto 0 do
+      if mc.Dm.row_match.(i) < 0 then alg_rows := i :: !alg_rows;
+      if mc.Dm.col_match.(i) < 0 then alg_cols := i :: !alg_cols
+    done;
+    let rows = !alg_rows and cols = !alg_cols in
+    let k = List.length rows in
+    if k = 0 || k = n then []
+    else begin
+      let sg = Mna.structural_g c in
+      let row_ptr, col_idx, _ = Sp.csr sg in
+      let col_pos = Array.make n (-1) in
+      List.iteri (fun p j -> col_pos.(j) <- p) cols;
+      let triplets = ref [] in
+      List.iteri
+        (fun p i ->
+          for idx = row_ptr.(i) to row_ptr.(i + 1) - 1 do
+            let j = col_idx.(idx) in
+            if col_pos.(j) >= 0 then
+              triplets := (p, col_pos.(j), 1.0) :: !triplets
+          done)
+        rows;
+      let sub = Sp.of_triplets ~rows:k ~cols:k !triplets in
+      let sub_dm = Dm.decompose sub in
+      if sub_dm.Dm.rank >= k then []
       else begin
-        (* unknowns with no differential (C-pattern) assignment form the
-           algebraic subsystem; if its G-block is structurally deficient the
-           DAE needs differentiation of constraints to close — index >= 2 *)
-        let mc = Dm.max_matching (Mna.structural_c c) in
-        let alg_rows = ref [] and alg_cols = ref [] in
-        for i = n - 1 downto 0 do
-          if mc.Dm.row_match.(i) < 0 then alg_rows := i :: !alg_rows;
-          if mc.Dm.col_match.(i) < 0 then alg_cols := i :: !alg_cols
-        done;
-        let rows = !alg_rows and cols = !alg_cols in
-        let k = List.length rows in
-        if k = 0 || k = n then []
-        else begin
-          let sg = Mna.structural_g c in
-          let row_ptr, col_idx, _ = Sp.csr sg in
-          let col_pos = Array.make n (-1) in
-          List.iteri (fun p j -> col_pos.(j) <- p) cols;
-          let triplets = ref [] in
-          List.iteri
-            (fun p i ->
-              for idx = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-                let j = col_idx.(idx) in
-                if col_pos.(j) >= 0 then
-                  triplets := (p, col_pos.(j), 1.0) :: !triplets
-              done)
-            rows;
-          let sub = Sp.of_triplets ~rows:k ~cols:k !triplets in
-          let sub_dm = Dm.decompose sub in
-          if sub_dm.Dm.rank >= k then []
-          else begin
-            (* map the underdetermined sub-block columns back to circuit
-               unknowns, and keep only node voltages: a source branch
-               current needing a constraint differentiation only pollutes
-               that source's own readout (ideal source on a capacitive
-               node — ubiquitous and benign), whereas an index-2 node
-               voltage contaminates the solution itself *)
-            let col_arr = Array.of_list cols in
-            let bad =
-              List.filter_map
-                (fun p ->
-                  let j = col_arr.(p) in
-                  if j < Mna.n_nodes c then Some j else None)
-                sub_dm.Dm.under_cols
-            in
-            if bad = [] then []
-            else
-              [
-                D.warning
-                  ?line:(earliest_unknown_origin c bad)
-                  ~subject:(unknown_labels c bad) "L023"
-                  (Printf.sprintf
-                     "index-2-prone topology: the algebraic subsystem has \
-                      structural G-rank %d of %d and leaves %s determined \
-                      only by differentiating constraints — expect order \
-                      reduction and amplified derivative noise in transient"
-                     sub_dm.Dm.rank k (unknown_labels c bad));
-              ]
-          end
-        end
+        (* map the underdetermined sub-block columns back to circuit
+           unknowns, and keep only node voltages: a source branch
+           current needing a constraint differentiation only pollutes
+           that source's own readout (ideal source on a capacitive
+           node — ubiquitous and benign), whereas an index-2 node
+           voltage contaminates the solution itself *)
+        let col_arr = Array.of_list cols in
+        let bad =
+          List.filter_map
+            (fun p ->
+              let j = col_arr.(p) in
+              if j < Mna.n_nodes c then Some j else None)
+            sub_dm.Dm.under_cols
+        in
+        if bad = [] then []
+        else
+          [
+            D.warning
+              ?line:(earliest_unknown_origin c bad)
+              ~subject:(unknown_labels c bad) "L023"
+              (Printf.sprintf
+                 "index-2-prone topology: the algebraic subsystem has \
+                  structural G-rank %d of %d and leaves %s determined \
+                  only by differentiating constraints — expect order \
+                  reduction and amplified derivative noise in transient"
+                 sub_dm.Dm.rank k (unknown_labels c bad));
+          ]
       end
+    end
+  end
+
+let dae_index nl = match circuit_of nl with None -> [] | Some c -> dae_index_of c
 
 let structural nl =
+  let mna_checks =
+    match circuit_of nl with None -> [] | Some c -> singularity_of c @ dae_index_of c
+  in
   floating_nodes nl @ source_loops nl @ dc_path_cutsets nl @ terminal_sanity nl
-  @ element_values nl @ conductance_spread nl @ structural_singularity nl
-  @ dae_index nl
+  @ element_values nl @ conductance_spread nl @ mna_checks
 
 let all nl located = structural nl @ directive_sanity nl located @ param_hygiene located

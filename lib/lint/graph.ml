@@ -32,7 +32,8 @@ let union t a b =
     end
   end
 
-let connected t a b = find_slot t (slot t a) = find_slot t (slot t b)
+let root t nd = find_slot t (slot t nd)
+let connected t a b = root t a = root t b
 
 let adds_cycle t a b =
   if connected t a b then true

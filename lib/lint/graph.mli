@@ -15,6 +15,10 @@ val create : node_count:int -> t
 val union : t -> Device.node -> Device.node -> unit
 val connected : t -> Device.node -> Device.node -> bool
 
+val root : t -> Device.node -> int
+(** Representative of a node's component: two nodes are connected iff
+    their roots are equal. *)
+
 val adds_cycle : t -> Device.node -> Device.node -> bool
 (** Incrementally add an edge; [true] when both endpoints were already
     connected, i.e. the edge closes a cycle (self-edges included). Used

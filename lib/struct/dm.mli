@@ -27,7 +27,10 @@ type coarse = {
 }
 
 val max_matching : Rfkit_la.Sparse.t -> matching
-(** Kuhn's augmenting-path algorithm, O(rank * nnz). *)
+(** A greedy pass (each row takes its lowest free column) followed by
+    Kuhn's augmenting paths from the rows it left unmatched. O(rank * nnz)
+    in the worst case, near-linear on circuit patterns. Which maximum
+    matching is returned depends on the algorithm; its size does not. *)
 
 val structural_rank : Rfkit_la.Sparse.t -> int
 

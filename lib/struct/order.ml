@@ -59,7 +59,9 @@ let btf_blocks a =
       done;
       Array.sub out 0 !len
     in
-    Some (Scc.components ~n ~succ)
+    (* Scc asks for a vertex's successors each time it resumes it *)
+    let succs = Array.init n succ in
+    Some (Scc.components ~n ~succ:(Array.get succs))
   end
 
 let amd_within_blocks a blocks =
@@ -79,13 +81,15 @@ let amd_within_blocks a blocks =
       let members = Array.of_list (List.sort compare members) in
       let bn = Array.length members in
       Array.iteri (fun li v -> local.(v) <- li) members;
-      let sub = Array.init bn (fun _ -> Hashtbl.create 4) in
-      Array.iteri
-        (fun li v ->
-          Hashtbl.iter
-            (fun u () -> if local.(u) >= 0 then Hashtbl.replace sub.(li) local.(u) ())
-            adj.(v))
-        members;
+      let sub =
+        Array.map
+          (fun v ->
+            Array.of_list
+              (Array.fold_right
+                 (fun u acc -> if local.(u) >= 0 then local.(u) :: acc else acc)
+                 adj.(v) []))
+          members
+      in
       let local_perm = Amd.order_graph bn sub in
       Array.iter
         (fun li ->

@@ -2,9 +2,13 @@
    matching and decomposition on known patterns, BTF+AMD ordering validity,
    symmetric permutation plumbing through Sparse_lu, the L021/L022/L023
    lint checks with line attribution, the engine pre-flight rejection path,
-   and properties (permutation validity on random patterns, permuted and
-   natural factorizations agreeing to 1e-10, of_triplets duplicate
-   summing). *)
+   digests of the amd and btf-amd permutations on shipped and generated
+   decks, and properties (permutation validity on random patterns, permuted
+   and natural factorizations agreeing to 1e-10, of_triplets duplicate
+   summing, and the set-up fast paths against reference implementations
+   kept here: greedy+Kuhn matching against plain Kuhn, heap AMD against a
+   linear-scan AMD, counting-sort CSR patterns against a tuple sort, and
+   hashed node names against first-use order). *)
 
 open Rfkit_circuit
 open Rfkit_lint
@@ -216,6 +220,358 @@ let test_shipped_decks_ordering_agreement () =
         [ Order.Amd_only; Order.Btf_amd ])
     [ "lowpass.cir"; "mos_amp.cir"; "rectifier.cir"; "hard_dc.cir" ]
 
+(* ------------------------------------------------ ordering permutation pins
+
+   Digests of [Mna.ordering_perm] under amd and btf-amd on the shipped
+   decks and on seeded generated decks: an RC ladder with a junction
+   diode on every fourth node, a 2-D RC mesh and a unidirectional VCCS
+   chain with occasional feedback (many BTF blocks). Node names and card
+   order are scrambled by a fixed LCG, so the unknown numbering is not
+   the topological one. Any change to matching, BTF or AMD that alters a
+   permutation fails here. *)
+
+let lcg s = ((s * 1103515245) + 12345) land 0x3FFFFFFF
+
+(* deterministic Fisher-Yates driven by [lcg]; returns the final state *)
+let scramble seed arr =
+  let s = ref seed in
+  for i = Array.length arr - 1 downto 1 do
+    s := lcg !s;
+    let j = !s mod (i + 1) in
+    let t = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- t
+  done;
+  !s
+
+(* [cards] come in reverse order; [in_order] keeps them in order instead
+   of shuffling them *)
+let gen_deck ?(in_order = false) ~seed ~title cards =
+  let cards = Array.of_list (if in_order then List.rev cards else cards) in
+  if not in_order then ignore (scramble seed cards);
+  String.concat "\n" ((("* " ^ title) :: Array.to_list cards) @ [ ".end"; "" ])
+
+(* node-name map k -> prefix ^ (scrambled k) *)
+let gen_names ?(in_order = false) ~seed ~prefix n =
+  let perm = Array.init n Fun.id in
+  if not in_order then ignore (scramble seed perm);
+  fun k -> prefix ^ string_of_int perm.(k)
+
+(* in order, node k is the k-th stage: plain Kuhn matching then reroutes
+   the whole chain from every row, the case the greedy pass exists for *)
+let ladder_deck ?(in_order = false) ~seed n =
+  let nm = gen_names ~in_order ~seed ~prefix:"n" n in
+  let cards = ref [ "V1 in 0 SIN(0.5 0.2 1meg)"; "RIN in " ^ nm 0 ^ " 50" ] in
+  for k = 0 to n - 1 do
+    cards := Printf.sprintf "C%d %s 0 50f" k (nm k) :: !cards;
+    if k < n - 1 then cards := Printf.sprintf "R%d %s %s 20" k (nm k) (nm (k + 1)) :: !cards;
+    if k mod 4 = 0 then cards := Printf.sprintf "D%d %s 0 IS=1e-15" k (nm k) :: !cards
+  done;
+  gen_deck ~in_order ~seed:(seed + 1) ~title:"rc ladder" !cards
+
+let mesh_deck ~seed nx ny =
+  let nm = gen_names ~seed ~prefix:"m" (nx * ny) in
+  let node i j = nm ((i * ny) + j) in
+  let cards = ref [ "V1 in 0 DC 0.4"; "RS in " ^ node 0 0 ^ " 100" ] in
+  for i = 0 to nx - 1 do
+    for j = 0 to ny - 1 do
+      let k = (i * ny) + j in
+      cards := Printf.sprintf "C%d %s 0 10f" k (node i j) :: !cards;
+      if j < ny - 1 then
+        cards := Printf.sprintf "RH%d %s %s 50" k (node i j) (node i (j + 1)) :: !cards;
+      if i < nx - 1 then
+        cards := Printf.sprintf "RV%d %s %s 50" k (node i j) (node (i + 1) j) :: !cards
+    done
+  done;
+  gen_deck ~seed:(seed + 1) ~title:"rc mesh" !cards
+
+let gm_chain_deck ~seed n =
+  let nm = gen_names ~seed ~prefix:"g" n in
+  let cards = ref [ "I1 " ^ nm 0 ^ " 0 DC 1m" ] in
+  for k = 0 to n - 1 do
+    cards := Printf.sprintf "R%d %s 0 1k" k (nm k) :: !cards;
+    cards := Printf.sprintf "C%d %s 0 1p" k (nm k) :: !cards;
+    if k > 0 then
+      cards := Printf.sprintf "G%d %s 0 %s 0 1m" k (nm k) (nm (k - 1)) :: !cards;
+    if k mod 5 = 2 && k + 2 < n then
+      cards := Printf.sprintf "GF%d %s 0 %s 0 1u" k (nm k) (nm (k + 2)) :: !cards
+  done;
+  gen_deck ~seed:(seed + 1) ~title:"gm chain" !cards
+
+(* a binary fan-out of VCCS stages: sibling subtrees are independent
+   BTF blocks, so the block order is not fixed by the partial order *)
+let gm_tree_deck ~seed n =
+  let nm = gen_names ~seed ~prefix:"t" n in
+  let cards = ref [ "I1 " ^ nm 0 ^ " 0 DC 1m" ] in
+  for k = 0 to n - 1 do
+    cards := Printf.sprintf "R%d %s 0 1k" k (nm k) :: !cards;
+    if k > 0 then
+      cards := Printf.sprintf "G%d %s 0 %s 0 1m" k (nm k) (nm ((k - 1) / 2)) :: !cards;
+    if k mod 7 = 3 && (2 * k) + 1 < n then
+      cards := Printf.sprintf "GF%d %s 0 %s 0 1u" k (nm k) (nm ((2 * k) + 1)) :: !cards
+  done;
+  gen_deck ~seed:(seed + 1) ~title:"gm tree" !cards
+
+(* a small random VCCS/inductor deck, kept because its btf-amd order
+   depends on which maximum matching is found: a greedy pass that took
+   each row's highest free column instead of its lowest moves it *)
+let vccs_web_deck =
+  String.concat "\n"
+    [
+      "* vccs web"; "RG0 n0 0 1k"; "RG1 n1 0 1k"; "RG2 n2 0 1k"; "RG3 n3 0 1k"; "RG4 n4 0 1k";
+      "RG5 n5 0 1k"; "RG6 n6 0 1k"; "RG7 n7 0 1k"; "RG8 n8 0 1k"; "V0 n2 n0 DC 1";
+      "G1 n2 n3 n3 0 1m"; "G2 n8 n6 n1 n4 1m"; "L3 n7 n5 1n"; "C4 n5 n0 1p"; "L5 n8 n0 1n";
+      "C6 n1 n1 1p"; "G7 n5 n2 n8 n4 1m"; "L8 n2 n5 1n"; "L9 n5 n7 1n"; "L10 n4 n3 1n";
+      "C11 n7 n5 1p"; ".end"; "";
+    ]
+
+let perm_digest text mode =
+  let nl, _ = Deck.parse_string text in
+  let c = Mna.build nl in
+  Mna.set_ordering c mode;
+  let s =
+    match Mna.ordering_perm c with
+    | None -> "identity"
+    | Some p -> String.concat "," (Array.to_list (Array.map string_of_int p))
+  in
+  Digest.to_hex (Digest.string s)
+
+let pin_decks =
+  List.map
+    (fun f -> (f, fun () -> In_channel.with_open_bin ("../examples/decks/" ^ f) In_channel.input_all))
+    [ "lowpass.cir"; "mos_amp.cir"; "rectifier.cir"; "hard_dc.cir" ]
+  @ [
+      ("ladder-2k", fun () -> ladder_deck ~seed:3 2000);
+      ("ladder-2k-in-order", fun () -> ladder_deck ~in_order:true ~seed:3 2000);
+      ("mesh-20x20", fun () -> mesh_deck ~seed:5 20 20);
+      ("gm-chain-200", fun () -> gm_chain_deck ~seed:7 200);
+      ("gm-tree-300", fun () -> gm_tree_deck ~seed:11 300);
+      ("vccs-web", fun () -> vccs_web_deck);
+    ]
+
+(* (deck, mode, digest of the permutation) *)
+let perm_pins =
+  [
+    ("lowpass.cir", "amd", "9b6d469cb8830627fb7dc7937f5253db");
+    ("lowpass.cir", "btf-amd", "9b6d469cb8830627fb7dc7937f5253db");
+    ("mos_amp.cir", "amd", "008730313feb050c60701c27294da65d");
+    ("mos_amp.cir", "btf-amd", "008730313feb050c60701c27294da65d");
+    ("rectifier.cir", "amd", "9b6d469cb8830627fb7dc7937f5253db");
+    ("rectifier.cir", "btf-amd", "9b6d469cb8830627fb7dc7937f5253db");
+    ("hard_dc.cir", "amd", "8d2f56f326d59d5daf9e48aab483cf57");
+    ("hard_dc.cir", "btf-amd", "8d2f56f326d59d5daf9e48aab483cf57");
+    ("ladder-2k", "amd", "5c9ef93a91413fc6dfd57c76d73ea53a");
+    ("ladder-2k", "btf-amd", "5c9ef93a91413fc6dfd57c76d73ea53a");
+    ("ladder-2k-in-order", "amd", "76abefd12fd778f3b509313b2d566460");
+    ("ladder-2k-in-order", "btf-amd", "76abefd12fd778f3b509313b2d566460");
+    ("mesh-20x20", "amd", "cd574c9c00d59f78adfc3673f39edc8d");
+    ("mesh-20x20", "btf-amd", "cd574c9c00d59f78adfc3673f39edc8d");
+    ("gm-chain-200", "amd", "da04c93c720355f85f8644109263ff7c");
+    ("gm-chain-200", "btf-amd", "2e337f5e1b34f158d534773476c3677f");
+    ("gm-tree-300", "amd", "1b7f0ccc6371270434b76dc5ccd524e2");
+    ("gm-tree-300", "btf-amd", "e7955ce7f153cc212b3b708ba21a57cb");
+    ("vccs-web", "amd", "bf726f6c03c995b32c06f08915c2fac7");
+    ("vccs-web", "btf-amd", "5e3e065e4db3d532142a434588ad73d8");
+  ]
+
+let test_perm_pins () =
+  List.iter
+    (fun (name, text) ->
+      let text = text () in
+      List.iter
+        (fun (deck, mode, want) ->
+          if deck = name then
+            let m = Option.get (Order.mode_of_string mode) in
+            Alcotest.(check string) (name ^ " " ^ mode) want (perm_digest text m))
+        perm_pins)
+    pin_decks
+
+(* ------------------------------------- unknown labels and origins -- *)
+
+(* the attribution rules spelled out as a scan over every device *)
+let scan_label c nl i =
+  if i < Mna.n_nodes c then Printf.sprintf "v(%s)" (Netlist.node_name nl i)
+  else
+    let k = ref (Mna.n_nodes c) and label = ref (Printf.sprintf "x[%d]" i) in
+    List.iter
+      (fun d ->
+        if Device.has_branch_current d then begin
+          if !k = i then label := Printf.sprintf "i(%s)" (Device.name d);
+          incr k
+        end)
+      (Netlist.devices nl);
+    !label
+
+let scan_origin c nl i =
+  let devs = Netlist.devices nl in
+  if i < Mna.n_nodes c then
+    List.fold_left
+      (fun acc d ->
+        if List.exists (fun (_, nd) -> nd = i) (Device.terminals d) then
+          match (acc, Device.origin d) with
+          | None, o -> o
+          | Some a, Some l -> Some (min a l)
+          | Some _, None -> acc
+        else acc)
+      None devs
+  else
+    let label = scan_label c nl i in
+    List.fold_left
+      (fun acc d -> if Printf.sprintf "i(%s)" (Device.name d) = label then Device.origin d else acc)
+      None devs
+
+let test_unknown_attribution () =
+  let rlc =
+    "* rlc\nV1 a 0 DC 1\nR1 a b 1\nL1 b c 1n\nC1 c 0 1p\nL2 c d 1n\nR2 d 0 50\n\
+     V2 e 0 DC 2\nR3 e d 1k\n.end\n"
+  in
+  (* a repeated name: its branch lookup resolves to the first device *)
+  let twin = "* twin\nV1 a 0 DC 1\nR1 a b 1k\nV1 b 0 DC 2\n.end\n" in
+  let decks =
+    rlc :: twin
+    :: List.map
+         (fun f -> In_channel.with_open_bin ("../examples/decks/" ^ f) In_channel.input_all)
+         [ "lowpass.cir"; "mos_amp.cir"; "rectifier.cir"; "hard_dc.cir"; "bad/underdet.cir" ]
+  in
+  List.iter
+    (fun text ->
+      let nl, _ = Deck.parse_string text in
+      let c = Mna.build nl in
+      for i = 0 to Mna.size c do
+        Alcotest.(check string) "label" (scan_label c nl i) (Mna.unknown_label c i);
+        Alcotest.(check (option int)) (Mna.unknown_label c i) (scan_origin c nl i)
+          (Mna.unknown_origin c i)
+      done;
+      List.iter
+        (fun d ->
+          let name = Device.name d in
+          let first = ref None in
+          for i = Mna.size c - 1 downto Mna.n_nodes c do
+            if scan_label c nl i = "i(" ^ name ^ ")" then first := Some i
+          done;
+          Alcotest.(check (option int)) ("branch of " ^ name) !first (Mna.branch_index c name))
+        (Netlist.devices nl))
+    decks
+
+let test_islands_order () =
+  (* two floating islands whose members interleave in node order (the
+     nodes are numbered up front: a device card numbers its own nodes in
+     no promised order) *)
+  let nl = Netlist.create () in
+  List.iter (fun n -> ignore (Netlist.node nl n)) [ "in"; "a"; "b"; "c"; "d"; "e" ];
+  Netlist.vsource nl "V1" "in" "0" (Wave.Dc 1.0);
+  Netlist.resistor nl "R0" "in" "0" 1e3;
+  Netlist.resistor nl "R1" "a" "c" 1e3;
+  Netlist.resistor nl "R2" "b" "d" 1e3;
+  Netlist.resistor nl "R3" "e" "a" 1e3;
+  Alcotest.(check (list (option string)))
+    "islands by lowest member" [ Some "a, c, e"; Some "b, d" ]
+    (List.map (fun d -> d.Diagnostic.subject) (Checks.floating_nodes nl))
+
+(* ---------------------------------------------------------- oracles -- *)
+
+(* plain Kuhn: an augmenting-path DFS from every row in turn *)
+let kuhn a =
+  let nr = Sp.rows a and nc = Sp.cols a in
+  let row_ptr, col_idx, _ = Sp.csr a in
+  let row_match = Array.make nr (-1) and col_match = Array.make nc (-1) in
+  let seen = Array.make nc (-1) in
+  let rec augment epoch i =
+    let found = ref false and k = ref row_ptr.(i) in
+    while (not !found) && !k < row_ptr.(i + 1) do
+      let j = col_idx.(!k) in
+      incr k;
+      if seen.(j) <> epoch then begin
+        seen.(j) <- epoch;
+        if col_match.(j) < 0 || augment epoch col_match.(j) then begin
+          row_match.(i) <- j;
+          col_match.(j) <- i;
+          found := true
+        end
+      end
+    done;
+    !found
+  in
+  let size = ref 0 in
+  for i = 0 to nr - 1 do
+    if augment i i then incr size
+  done;
+  (row_match, col_match, !size)
+
+(* rows reachable by alternating paths from unmatched rows, and columns
+   reachable from unmatched columns, by fixpoint iteration *)
+let reach_sets a (row_match, col_match, _) =
+  let nr = Sp.rows a and nc = Sp.cols a in
+  let entries = ref [] in
+  Sp.iter (fun i j _ -> entries := (i, j) :: !entries) a;
+  let rows = Array.init nr (fun i -> row_match.(i) < 0) in
+  let cols = Array.init nc (fun j -> col_match.(j) < 0) in
+  let grow () =
+    List.fold_left
+      (fun changed (i, j) ->
+        let changed =
+          if rows.(i) && col_match.(j) >= 0 && not rows.(col_match.(j)) then (
+            rows.(col_match.(j)) <- true;
+            true)
+          else changed
+        in
+        if cols.(j) && row_match.(i) >= 0 && not cols.(row_match.(i)) then (
+          cols.(row_match.(i)) <- true;
+          true)
+        else changed)
+      false !entries
+  in
+  while grow () do
+    ()
+  done;
+  let pick flags = List.filter (fun k -> flags.(k)) (List.init (Array.length flags) Fun.id) in
+  (pick rows, pick cols)
+
+(* minimum degree with a linear scan for each pivot over hash-set
+   adjacency, ties toward the lowest index *)
+let scan_amd n adj =
+  let eliminated = Array.make n false in
+  let degree = Array.init n (fun v -> Hashtbl.length adj.(v)) in
+  Array.init n (fun _ ->
+      let best = ref (-1) in
+      for v = n - 1 downto 0 do
+        if (not eliminated.(v)) && (!best < 0 || degree.(v) <= degree.(!best)) then best := v
+      done;
+      let v = !best in
+      eliminated.(v) <- true;
+      let nbrs = Hashtbl.fold (fun u () acc -> if eliminated.(u) then acc else u :: acc) adj.(v) [] in
+      List.iter
+        (fun u ->
+          Hashtbl.remove adj.(u) v;
+          List.iter
+            (fun w ->
+              if w <> u && not (Hashtbl.mem adj.(u) w) then begin
+                Hashtbl.replace adj.(u) w ();
+                Hashtbl.replace adj.(w) u ()
+              end)
+            nbrs;
+          degree.(u) <- Hashtbl.length adj.(u))
+        nbrs;
+      v)
+
+(* CSR pattern by sorting (row, column) tuples and dropping repeats *)
+let tuple_pattern rows pairs =
+  let arr = Array.of_list pairs in
+  Array.sort compare arr;
+  let row_ptr = Array.make (rows + 1) 0 in
+  let cols = ref [] in
+  Array.iteri
+    (fun k (i, j) ->
+      if k = 0 || arr.(k - 1) <> (i, j) then begin
+        row_ptr.(i + 1) <- row_ptr.(i + 1) + 1;
+        cols := j :: !cols
+      end)
+    arr;
+  for i = 0 to rows - 1 do
+    row_ptr.(i + 1) <- row_ptr.(i + 1) + row_ptr.(i)
+  done;
+  (row_ptr, Array.of_list (List.rev !cols))
+
 (* -------------------------------------------------------- properties -- *)
 
 let qcheck_suite =
@@ -273,6 +629,84 @@ let qcheck_suite =
         let a = build_dd spec in
         (* a full diagonal means full structural rank, always *)
         Dm.structural_rank a = Sp.rows a);
+    Test.make ~name:"struct: greedy+Kuhn matching agrees with plain Kuhn" ~count:400
+      (make
+         Gen.(
+           int_range 1 10 >>= fun nr ->
+           oneof [ return nr; int_range 1 10 ] >>= fun nc ->
+           list_size (int_range 0 (3 * max nr nc))
+             (pair (int_range 0 (nr - 1)) (int_range 0 (nc - 1)))
+           >>= fun es -> return (nr, nc, es))
+         ~print:Print.(triple int int (list (pair int int))))
+      (fun (nr, nc, es) ->
+        let a = ones nr nc es in
+        let d = Dm.decompose a in
+        let m = Dm.max_matching a in
+        let ((_, _, size) as oracle) = kuhn a in
+        let over, under = reach_sets a oracle in
+        d.Dm.rank = size && m.Dm.size = size && d.Dm.over_rows = over
+        && d.Dm.under_cols = under
+        && Array.for_all (fun x -> x) (Array.mapi (fun i j -> j < 0 || m.Dm.col_match.(j) = i) m.Dm.row_match));
+    Test.make ~name:"struct: heap AMD agrees with the linear-scan AMD" ~count:300
+      (make
+         Gen.(
+           int_range 1 30 >>= fun n ->
+           list_size (int_range 0 (4 * n)) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+           >>= fun es -> return (n, es))
+         ~print:Print.(pair int (list (pair int int))))
+      (fun (n, es) ->
+        let a = ones n n es in
+        let adj = Array.init n (fun _ -> Hashtbl.create 4) in
+        List.iter
+          (fun (i, j) ->
+            if i <> j then begin
+              Hashtbl.replace adj.(i) j ();
+              Hashtbl.replace adj.(j) i ()
+            end)
+          es;
+        Amd.order a = scan_amd n adj);
+    Test.make ~name:"csr: pattern_of_pairs matches a tuple sort" ~count:300
+      (make
+         Gen.(
+           int_range 1 8 >>= fun rows ->
+           int_range 1 8 >>= fun cols ->
+           list_size (int_range 0 40) (pair (int_range 0 (rows - 1)) (int_range 0 (cols - 1)))
+           >>= fun ps -> return (rows, cols, ps))
+         ~print:Print.(triple int int (list (pair int int))))
+      (fun (rows, cols, ps) ->
+        let pi = Array.of_list (List.map fst ps) and pj = Array.of_list (List.map snd ps) in
+        Rfkit_la.Csr.pattern_of_pairs "test" ~rows ~cols pi pj (List.length ps)
+        = tuple_pattern rows ps);
+    Test.make ~name:"netlist: node indices follow first use and round-trip" ~count:300
+      (make
+         Gen.(list_size (int_range 0 60) (oneofl [ "a"; "b"; "n1"; "N1"; "x_7"; "0"; "gnd"; "GND"; "out"; "in" ]))
+         ~print:Print.(list string))
+      (fun names ->
+        let is_ground n = n = "0" || String.lowercase_ascii n = "gnd" in
+        let nl = Netlist.create () in
+        let idx = List.map (Netlist.node nl) names in
+        let firsts =
+          List.fold_left
+            (fun acc n -> if is_ground n || List.mem n acc then acc else acc @ [ n ])
+            [] names
+        in
+        let expect n =
+          if is_ground n then Netlist.gnd
+          else
+            let rec find k = function
+              | x :: rest -> if x = n then k else find (k + 1) rest
+              | [] -> -2
+            in
+            find 0 firsts
+        in
+        idx = List.map expect names
+        && Netlist.node_count nl = List.length firsts
+        && List.for_all2 (fun n i -> Netlist.find_node nl n = Some i) names idx
+        && List.for_all
+             (fun n -> Netlist.node_name nl (expect n) = n)
+             firsts
+        && Netlist.node_name nl Netlist.gnd = "gnd"
+        && Netlist.find_node nl "never-used" = None);
     Test.make ~name:"sparse: of_triplets sums duplicate entries" ~count:300
       (make
          Gen.(
@@ -312,12 +746,15 @@ let suite =
         tc "factor_cached perm switch" test_factor_cached_perm_switch;
         tc "shipped decks agree across orderings"
           test_shipped_decks_ordering_agreement;
+        tc "ordering permutations pinned" test_perm_pins;
       ] );
     ( "struct.lint",
       [
         tc "underdet deck line attribution" test_underdet_deck_lines;
         tc "L023 fires on I-source into inductor" test_l023_index2_warning;
         tc "L023 silent on RC" test_l023_not_on_rc;
+        tc "unknown labels and origins" test_unknown_attribution;
+        tc "floating islands by lowest member" test_islands_order;
       ] );
     ( "struct.preflight",
       [
