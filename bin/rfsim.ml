@@ -433,7 +433,6 @@ let analyze_cmd =
   let doc = "structural pre-analysis: DM rank, BTF blocks, ordering fill-in" in
   let run path json =
     let deck = preflight ~verb:"analyze" ~lint:false path (read_deck path) in
-    let nl = deck.Pipeline.netlist in
     let c = Pipeline.circuit deck in
     let n = Mna.size c in
     let sg = Mna.structural_g c
@@ -475,10 +474,7 @@ let analyze_cmd =
           ("btf-amd", Struct.Order.Btf_amd);
         ]
     in
-    let ds =
-      Lint.Diagnostic.sort
-        (Lint.Checks.structural_singularity nl @ Lint.Checks.dae_index nl)
-    in
+    let ds = Lint.Diagnostic.sort (Lint.Checks.mna_checks c) in
     if json then begin
       let fill_json =
         String.concat ","

@@ -1,7 +1,7 @@
 open Rfkit_la
 open Rfkit_solve
 
-type linear_solver = Dense_lu | Sparse_direct | Gmres_ilu
+type linear_solver = Newton.linear_solver = Dense_lu | Sparse_direct | Gmres_ilu
 
 type options = {
   max_iter : int;
@@ -16,98 +16,43 @@ let default_options =
 
 let engine = "dc"
 
-(* Instrumented Newton on f(x) + gmin*x_nodes = b. Returns the solution or
-   a typed cause, plus the iterations spent and the last residual norm.
-   [symb] carries the sparse factorization's symbolic analysis across
-   re-stamps (the pattern is fixed per circuit), shared by every rung of
-   the ladder. *)
+(* Newton on f(x) + gmin*x_nodes - b = 0, the gmin conductance to ground
+   on node rows stamped without touching the cached pattern (the G
+   pattern carries the full diagonal). [symb] carries the sparse
+   factorization's symbolic analysis across re-stamps (the pattern is
+   fixed per circuit), shared by every rung of the ladder. *)
 let newton ~options ~damping ~iter_cap ~gmin ~symb c b x0 =
   let nn = Mna.n_nodes c in
   let perm = Mna.ordering_perm c in
-  let x = Vec.copy x0 in
-  let iter = ref 0 in
-  let last_res = ref infinity in
-  let kry = ref 0 in
-  let max_iter = min options.max_iter iter_cap in
-  let solution = ref None in
-  (* gmin conductance to ground on node rows, stamped without touching the
-     cached pattern (the G pattern carries the full diagonal) *)
-  let sparse_g () =
+  let residual x =
+    let r = Vec.sub (Mna.eval_f c x) b in
+    for i = 0 to nn - 1 do
+      r.(i) <- r.(i) +. (gmin *. x.(i))
+    done;
+    (r, 0.0)
+  in
+  let dense x () =
+    let g = Mna.jac_g c x in
+    for i = 0 to nn - 1 do
+      Mat.update g i i (fun v -> v +. gmin)
+    done;
+    g
+  in
+  let sparse x () =
     let g = Mna.jac_g_sparse c x in
     if gmin = 0.0 then g
-    else begin
-      let d = Array.make (Mna.size c) 0.0 in
-      for i = 0 to nn - 1 do
-        d.(i) <- gmin
-      done;
-      Sparse.add g (Sparse.of_diag d)
-    end
+    else
+      Sparse.add g
+        (Sparse.of_diag (Array.init (Mna.size c) (fun i -> if i < nn then gmin else 0.0)))
   in
-  let linear_solve r =
-    if Faults.singular_now ~engine then raise Lu.Singular;
-    match options.solver with
-    | Dense_lu ->
-        let g = Mna.jac_g c x in
-        for i = 0 to nn - 1 do
-          Mat.update g i i (fun v -> v +. gmin)
-        done;
-        Lu.solve (Lu.factor g) r
-    | Sparse_direct ->
-        Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb (sparse_g ())) r
-    | Gmres_ilu ->
-        let g = sparse_g () in
-        let precond = Sparse_lu.ilu_apply (Sparse_lu.ilu0 g) in
-        let dx, st =
-          Krylov.gmres ~tol:1e-12 ~precond (Sparse.matvec g) r
-        in
-        kry := !kry + st.Krylov.iterations;
-        if st.Krylov.converged then dx
-        else
-          (* ILU-GMRES stalled: fall back to the exact sparse factor rather
-             than poisoning Newton with a bad step *)
-          Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb g) r
-  in
-  let cause =
-    try
-      while !solution = None && !iter < max_iter do
-        incr iter;
-        Guard.check ~engine ~iter:!iter x;
-        let f = Mna.eval_f c x in
-        (* residual r = b - f(x) - gmin*x on node rows *)
-        let r = Vec.sub b f in
-        for i = 0 to nn - 1 do
-          r.(i) <- r.(i) -. (gmin *. x.(i))
-        done;
-        last_res := Vec.norm_inf r;
-        if !last_res <= options.tol then solution := Some (Vec.copy x)
-        else begin
-          let dx = linear_solve r in
-          (* damp the Newton step to keep exponentials in range *)
-          let step = Vec.norm_inf dx in
-          let scale = if step > damping then damping /. step else 1.0 in
-          Vec.axpy scale dx x
-        end
-      done;
-      None
-    with
-    | Lu.Singular -> Some Supervisor.Singular_jacobian
-    | Guard.Non_finite_found { iter; index } ->
-        Some (Supervisor.Non_finite { iter; index })
-  in
-  let stats =
-    {
-      Supervisor.iterations = !iter;
-      residual = !last_res;
-      krylov_iterations = !kry;
-    }
-  in
-  match (!solution, cause) with
-  | Some x, _ -> Ok (x, stats)
-  | None, Some c -> Error (c, stats)
-  | None, None ->
-      Error
-        ( Supervisor.Newton_stall { iterations = !iter; residual = !last_res },
-          stats )
+  Newton.run ~engine
+    ~stop:
+      { Newton.max_iter = min options.max_iter iter_cap; res_abs = options.tol; res_rel = 0.0;
+        step_rel = 0.0; damping }
+    ~residual
+    ~solve:(fun x r ->
+      Newton.linear_solve options.solver ?perm ~symb ~dense:(dense x) ~sparse:(sparse x) r)
+    x0
 
 (* Sum the per-stage stats of a continuation run. *)
 let ( ++ ) (a : Supervisor.stats) (b : Supervisor.stats) =

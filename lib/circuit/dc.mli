@@ -1,18 +1,22 @@
-(** DC operating point: Newton-Raphson on [f(x) = b_dc] run under the
-    {!Rfkit_solve.Supervisor} with the ladder
+(** DC operating point: Newton-Raphson on [f(x) + gmin x_nodes - b_dc = 0]
+    run under the {!Rfkit_solve.Supervisor} with the ladder
 
     {v base -> tightened damping -> gmin stepping -> source ramping v}
 
     Each rung is attempted in order under the supervisor's iteration and
     wall-clock budgets; the winning strategy and per-attempt trace come
-    back in the report. *)
+    back in the report. Every Newton solve is one run of
+    {!Rfkit_solve.Newton.run} (DESIGN.md sec. 8, "One Newton driver"):
+    this module supplies the residual and the Jacobian, the driver the
+    loop, the guards, the damping and the stats. *)
 
-type linear_solver =
+type linear_solver = Rfkit_solve.Newton.linear_solver =
   | Dense_lu       (** dense Jacobian + dense LU: the pre-refactor path,
                        kept as a cross-check and small-circuit fallback *)
   | Sparse_direct  (** CSR stamping + pivoting sparse LU (default) *)
   | Gmres_ilu      (** CSR stamping + ILU(0)-preconditioned GMRES, with a
                        sparse-direct fallback if the iteration stalls *)
+(** The Newton driver's linear-solve selector. *)
 
 type options = {
   max_iter : int;       (** Newton iterations per continuation level (default 100) *)

@@ -1,7 +1,7 @@
 open Rfkit_la
 open Rfkit_solve
 
-exception Step_failed of { time : float; cause : Supervisor.cause }
+exception Step_failed = Newton.Step_failed
 
 type method_ = Backward_euler | Trapezoidal
 
@@ -9,7 +9,7 @@ type scheme = Be | Trap | Gear2 of Vec.t
 
 type result = { times : float array; states : Vec.t array }
 
-type stop = {
+type stop = Newton.stop = {
   max_iter : int;
   res_abs : float;
   res_rel : float;
@@ -80,63 +80,24 @@ let step_jacobian ?coupling c ~scheme ~dt x =
 
 let implicit_step ?(stop = default_stop) ?(solver = Dc.Sparse_direct) ?symb
     ?(engine = engine) ?rhs ?coupling c ~scheme ~x_prev ~t_prev ~dt =
-  let t1 = t_prev +. dt in
-  let fail cause = raise (Step_failed { time = t1; cause }) in
   (* symbolic LU analysis shared across the step's Newton re-stamps; the
      caller may widen its scope to a whole run or period *)
   let symb = match symb with Some r -> r | None -> ref None in
   let perm = Mna.ordering_perm c in
   let rhs, residual = companion ?rhs ?coupling c ~scheme ~x_prev ~t_prev ~dt in
+  let reference = Vec.norm_inf rhs in
   let a_c, a_g = weights ~coupling ~scheme ~dt in
-  let res_tol =
-    if stop.res_rel = 0.0 then stop.res_abs
-    else (stop.res_rel *. Float.max 1.0 (Vec.norm_inf rhs)) +. stop.res_abs
-  in
-  (* J dx = r with J = a_c C(x) + a_g G(x) *)
+  (* J dx = R(x) with J = a_c C(x) + a_g G(x) *)
   let solve x r =
-    match solver with
-    | Dc.Dense_lu ->
-        let j = Mat.add (Mat.scale a_c (Mna.jac_c c x)) (Mat.scale a_g (Mna.jac_g c x)) in
-        Lu.solve (Lu.factor j) r
-    | Dc.Sparse_direct ->
-        Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb (jacobian c ~a_c ~a_g x)) r
-    | Dc.Gmres_ilu ->
-        let j = jacobian c ~a_c ~a_g x in
-        let precond = Sparse_lu.ilu_apply (Sparse_lu.ilu0 j) in
-        let dx, st = Krylov.gmres ~tol:1e-12 ~precond (Sparse.matvec j) r in
-        if st.Krylov.converged then dx
-        else Sparse_lu.solve (Sparse_lu.factor_cached ?perm symb j) r
+    Newton.linear_solve solver ?perm ~symb
+      ~dense:(fun () -> Mat.add (Mat.scale a_c (Mna.jac_c c x)) (Mat.scale a_g (Mna.jac_g c x)))
+      ~sparse:(fun () -> jacobian c ~a_c ~a_g x)
+      r
   in
-  let x = Vec.copy x_prev in
-  (* damped Newton on R(x) = 0: x <- x - s dx with J dx = R(x) *)
-  let rec newton iter last =
-    if iter > stop.max_iter then
-      fail (Supervisor.Newton_stall { iterations = stop.max_iter; residual = last })
-    else begin
-      (try Guard.check ~engine ~iter x
-       with Guard.Non_finite_found { iter; index } ->
-         fail (Supervisor.Non_finite { iter; index }));
-      let r, _ = residual x in
-      let res = Vec.norm_inf r in
-      if res <= res_tol then x
-      else begin
-        if Faults.singular_now ~engine then fail Supervisor.Singular_jacobian;
-        let dx = try solve x r with Lu.Singular -> fail Supervisor.Singular_jacobian in
-        let step = Vec.norm_inf dx in
-        (* with the q/h terms dominating, a residual tolerance can be
-           out of reach for reactive branches: a vanishing Newton step
-           converges too, where the caller asks for it *)
-        if stop.step_rel > 0.0 && step <= stop.step_rel *. Float.max 1.0 (Vec.norm_inf x)
-        then x
-        else begin
-          let scale = if step > stop.damping then stop.damping /. step else 1.0 in
-          Vec.axpy (-.scale) dx x;
-          newton (iter + 1) res
-        end
-      end
-    end
-  in
-  newton 1 infinity
+  let residual x = (fst (residual x), reference) in
+  match Newton.run ~engine ~stop ~residual ~solve x_prev with
+  | Ok (x, _) -> x
+  | Error (cause, _) -> raise (Step_failed { time = t_prev +. dt; cause })
 
 let initial_state ?x0 c =
   match x0 with
@@ -207,9 +168,9 @@ let run_outcome ?(budget = default_budget) ?(method_ = Trapezoidal) ?x0
                 krylov_iterations = 0;
               } )
         with
-        | Step_failed { time = t; _ } ->
+        | Step_failed { time = t; cause } ->
             Error
-              ( Supervisor.Newton_stall { iterations = steps; residual = infinity },
+              ( cause,
                 {
                   Supervisor.iterations =
                     (let k = int_of_float (Float.ceil (t /. dt)) in

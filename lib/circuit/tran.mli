@@ -11,7 +11,9 @@
 
 exception Step_failed of { time : float; cause : Rfkit_solve.Supervisor.cause }
 (** A failed step: its arrival instant and why (Newton stall, singular
-    Jacobian, non-finite iterate). *)
+    Jacobian, non-finite iterate). The same exception as
+    {!Rfkit_solve.Newton.Step_failed}, so a Newton whose residual
+    integrates steps ends with the step's cause. *)
 
 type method_ = Backward_euler | Trapezoidal
 
@@ -24,10 +26,11 @@ type result = {
   states : Rfkit_la.Vec.t array;  (** state vector per time point *)
 }
 
-(** When one step's damped Newton stops: plain values per caller, since
-    a transient, a shooting period, an MPDE slice and a noisy SDE step
-    see different residual scales. *)
-type stop = {
+(** When one step's damped Newton stops: the Newton driver's stop record
+    ({!Rfkit_solve.Newton.stop}), plain values per caller, since a
+    transient, a shooting period, an MPDE slice and a noisy SDE step see
+    different residual scales. *)
+type stop = Rfkit_solve.Newton.stop = {
   max_iter : int;  (** iterations before the step fails *)
   res_abs : float;
   res_rel : float;
@@ -66,11 +69,11 @@ val implicit_step :
     with Jacobian [a_c C(x) + a_g G(x)] ([a_c] = 1/dt, 1/dt, 3/(2 dt);
     [a_g] = 1, 1/2, 1). [b1] is [b(t1)] unless [rhs] replaces it;
     [coupling] [(1/h1, q_ref)] adds the MPDE term [(q(x) - q_ref)/h1]
-    to [R] and [1/h1] to [a_c]. Each iteration polls
-    {!Rfkit_solve.Guard} under [engine] (default ["tran"]), tests the
-    residual, solves (a singular fault plan for [engine] fires here),
-    tests the step and applies the damped update, as [stop] (default
-    {!default_stop}) says. Sparse factors go through
+    to [R] and [1/h1] to [a_c]. The step is one run of
+    {!Rfkit_solve.Newton.run} (DESIGN.md sec. 8, "One Newton driver")
+    under [engine] (default ["tran"]) with [stop] (default
+    {!default_stop}) and [solver]'s linear solve, the residual
+    reference being [|b1|]. Sparse factors go through
     {!Rfkit_la.Sparse_lu.factor_cached} under {!Mna.ordering_perm}, with
     [symb] (default: a fresh cache) as the symbolic cache.
     @raise Step_failed *)
@@ -111,10 +114,12 @@ val run_outcome :
   t_stop:float ->
   dt:float ->
   result Rfkit_solve.Supervisor.outcome
-(** {!run} under the solver supervisor: a diverging Newton step retries
-    the whole run at [dt/2] then [dt/8] before reporting a typed failure.
-    The stats count integration steps as iterations; the default budget
-    is sized accordingly (millions of steps, 300 s wall clock). *)
+(** {!run} under the solver supervisor. A failed step ends the attempt
+    with the step's own cause: a non-finite iterate fails fast, while a
+    Newton stall or a singular Jacobian retries the whole run at [dt/2]
+    then [dt/8] before the typed failure. The stats count integration
+    steps as iterations; the default budget is sized accordingly
+    (millions of steps, 300 s wall clock). *)
 
 val run_adaptive :
   ?method_:method_ ->

@@ -488,9 +488,6 @@ let singularity_of c =
     l021 :: l022
   end
 
-let structural_singularity nl =
-  match circuit_of nl with None -> [] | Some c -> singularity_of c
-
 (* ---------------------------------------- L023 DAE index heuristic -- *)
 
 let dae_index_of c =
@@ -562,10 +559,10 @@ let dae_index_of c =
 
 let dae_index nl = match circuit_of nl with None -> [] | Some c -> dae_index_of c
 
+let mna_checks c = singularity_of c @ dae_index_of c
+
 let structural nl =
-  let mna_checks =
-    match circuit_of nl with None -> [] | Some c -> singularity_of c @ dae_index_of c
-  in
+  let mna_checks = match circuit_of nl with None -> [] | Some c -> mna_checks c in
   floating_nodes nl @ source_loops nl @ dc_path_cutsets nl @ terminal_sanity nl
   @ element_values nl @ conductance_spread nl @ mna_checks
 

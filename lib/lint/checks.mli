@@ -32,13 +32,15 @@ val directive_sanity : Netlist.t -> (int * Deck.directive) list -> Diagnostic.t 
 val param_hygiene : (int * Deck.directive) list -> Diagnostic.t list
 val conductance_spread : Netlist.t -> Diagnostic.t list
 
-val structural_singularity : Netlist.t -> Diagnostic.t list
-(** L021/L022 from a Dulmage–Mendelsohn decomposition of the MNA G
-    pattern; never raises (a deck the MNA compiler rejects yields []). *)
+val mna_checks : Mna.t -> Diagnostic.t list
+(** The checks of a compiled MNA system: L021/L022 from a
+    Dulmage–Mendelsohn decomposition of its G pattern, then the L023
+    heuristic, examined only when the union pattern is structurally
+    nonsingular. *)
 
 val dae_index : Netlist.t -> Diagnostic.t list
-(** L023 heuristic; only examined when the union pattern is structurally
-    nonsingular. *)
+(** L023 alone, on the deck's MNA system; never raises (a deck the MNA
+    compiler rejects yields []). *)
 
 val structural : Netlist.t -> Diagnostic.t list
 (** All netlist-only checks (no directives needed). *)

@@ -45,10 +45,7 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
          })
 
 let node_grid res name =
-  let { n1; n2; _ } = res.options in
-  let n = Mna.size res.circuit in
-  let k = Mna.node res.circuit name in
-  Mat.init n1 n2 (fun i1 i2 -> res.grid.((((i1 * n2) + i2) * n) + k))
+  Mpde.node_grid res.circuit ~n1:res.options.n1 ~n2:res.options.n2 res.grid name
 
 let coefficients res name =
   Hbn.mix_coefficients res.circuit ~dims:[| res.options.n1; res.options.n2 |] res.grid name

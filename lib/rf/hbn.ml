@@ -296,80 +296,44 @@ let newton ~engine ~solver ~precondition ~damping ~iter_cap ~options c ~tones g 
      iteration: the bin blocks all share the G+C union pattern *)
   let perm = Mna.ordering_perm c in
   let precond_cache = ref None in
-  let iters = ref 0 in
-  let gmres_total = ref 0 in
-  let res_norm = ref infinity in
-  let converged = ref false in
-  let stats () =
-    {
-      Supervisor.iterations = !iters;
-      residual = !res_norm;
-      krylov_iterations = !gmres_total;
-    }
-  in
-  let cap = min options.max_newton iter_cap in
-  try
-    while (not !converged) && !iters < cap do
-      incr iters;
-      let r = residual c g ~b x in
-      res_norm := Vec.norm_inf r;
-      if !res_norm <= options.tol then converged := true
-      else begin
-        if Faults.singular_now ~engine then raise Lu.Singular;
-        let cs = Array.init g.tot (fun flat -> Mna.jac_c_sparse c (point ~n x flat)) in
-        let gs = Array.init g.tot (fun flat -> Mna.jac_g_sparse c (point ~n x flat)) in
-        let dx =
-          match solver with
-          | Direct -> Lu.solve (Lu.factor (dense_jacobian g ~n ~cs ~gs)) r
-          | Matrix_free_gmres ->
-              let precond =
-                if precondition then
-                  make_preconditioner ?perm ~cache:precond_cache g ~n ~cs ~gs
-                else Fun.id
-              in
-              let dx, st =
-                Krylov.gmres ~m:80 ~tol:options.gmres_tol ~max_iter:2000 ~precond
-                  (apply_jacobian g ~n ~cs ~gs) r
-              in
-              gmres_total := !gmres_total + st.Krylov.iterations;
-              if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
-                Error.fail ~engine
-                  ~cause:
-                    (Supervisor.Krylov_stall
-                       { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
-                  "grid GMRES did not converge";
-              dx
+  let solve x r =
+    let cs = Array.init g.tot (fun flat -> Mna.jac_c_sparse c (point ~n x flat)) in
+    let gs = Array.init g.tot (fun flat -> Mna.jac_g_sparse c (point ~n x flat)) in
+    match solver with
+    | Direct -> (Lu.solve (Lu.factor (dense_jacobian g ~n ~cs ~gs)) r, 0)
+    | Matrix_free_gmres ->
+        let precond =
+          if precondition then make_preconditioner ?perm ~cache:precond_cache g ~n ~cs ~gs
+          else Fun.id
         in
-        Guard.check ~engine ~iter:!iters dx;
-        (* damped Newton update *)
-        let step = Vec.norm_inf dx in
-        let scale = if step > damping then damping /. step else 1.0 in
-        Vec.axpy (-.scale) dx x
-      end
-    done;
-    if not !converged then
-      Error
-        ( Supervisor.Newton_stall { iterations = !iters; residual = !res_norm },
-          stats () )
-    else
-      Ok
-        ( {
-            circuit = c;
-            tones;
-            options;
-            grid = x;
-            newton_iters = !iters;
-            residual = !res_norm;
-            gmres_iters_total = !gmres_total;
-          },
-          stats () )
-  with
-  | Lu.Singular | Clu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
-  | Krylov.Non_finite index ->
-      Error (Supervisor.Non_finite { iter = !iters; index }, stats ())
-  | Guard.Non_finite_found { iter; index } ->
-      Error (Supervisor.Non_finite { iter; index }, stats ())
-  | Error.No_convergence e -> Error (e.Error.cause, stats ())
+        let dx, st =
+          Krylov.gmres ~m:80 ~tol:options.gmres_tol ~max_iter:2000 ~precond
+            (apply_jacobian g ~n ~cs ~gs) r
+        in
+        if (not st.Krylov.converged) || Faults.krylov_stall_now ~engine then
+          Error.fail ~engine
+            ~cause:
+              (Supervisor.Krylov_stall
+                 { iterations = st.Krylov.iterations; residual = st.Krylov.residual })
+            "grid GMRES did not converge";
+        (dx, st.Krylov.iterations)
+  in
+  let stop =
+    { Newton.max_iter = min options.max_newton iter_cap; res_abs = options.tol; res_rel = 0.0;
+      step_rel = 0.0; damping }
+  in
+  Newton.run ~engine ~stop ~residual:(fun x -> (residual c g ~b x, 0.0)) ~solve x
+  |> Result.map (fun (grid, (st : Supervisor.stats)) ->
+         ( {
+             circuit = c;
+             tones;
+             options;
+             grid;
+             newton_iters = st.iterations;
+             residual = st.residual;
+             gmres_iters_total = st.krylov_iterations;
+           },
+           st ))
 
 (* one attempt: a dims/tones mismatch or a source aligned with no tone is
    a model limitation, refused before Newton as a fail-fast Unsupported *)

@@ -94,9 +94,4 @@ let node_grid res name =
   let { n1; steps2; _ } = res.options in
   Mat.init n1 steps2 (fun i1 i2 -> Mat.get res.slices.(i1) i2 k)
 
-let node_diagonal res name ~n =
-  let grid = node_grid res name in
-  let period1 = 1.0 /. res.f1 and period2 = 1.0 /. res.f2 in
-  Vec.init n (fun k ->
-      let t = period1 *. float_of_int k /. float_of_int n in
-      Mpde.diagonal ~period1 ~period2 grid t)
+let node_diagonal res name ~n = Mpde.diagonal_samples ~f1:res.f1 ~f2:res.f2 (node_grid res name) ~n

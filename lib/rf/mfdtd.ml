@@ -2,7 +2,7 @@ open Rfkit_la
 open Rfkit_circuit
 open Rfkit_solve
 
-type options = {
+type options = Hb2.options = {
   n1 : int;
   n2 : int;
   max_newton : int;
@@ -40,14 +40,6 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
          })
 
 let node_grid res name =
-  let { n1; n2; _ } = res.options in
-  let n = Mna.size res.circuit in
-  let k = Mna.node res.circuit name in
-  Mat.init n1 n2 (fun i1 i2 -> res.grid.((((i1 * n2) + i2) * n) + k))
+  Mpde.node_grid res.circuit ~n1:res.options.n1 ~n2:res.options.n2 res.grid name
 
-let node_diagonal res name ~n =
-  let grid = node_grid res name in
-  let period1 = 1.0 /. res.f1 and period2 = 1.0 /. res.f2 in
-  Vec.init n (fun k ->
-      let t = period1 *. float_of_int k /. float_of_int n in
-      Mpde.diagonal ~period1 ~period2 grid t)
+let node_diagonal res name ~n = Mpde.diagonal_samples ~f1:res.f1 ~f2:res.f2 (node_grid res name) ~n

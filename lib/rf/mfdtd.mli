@@ -14,15 +14,18 @@
     difference operator of a linear circuit. This module only maps
     options and result fields. *)
 
-type options = {
+type options = Hb2.options = {
   n1 : int;
   n2 : int;
   max_newton : int;
   tol : float;
   gmres_tol : float;
 }
+(** The two-tone grid options of {!Hb2}. *)
 
 val default_options : options
+(** A 16 x 32 grid, 50 Newton iterations, tolerance 1e-8, GMRES
+    tolerance 1e-10. *)
 
 type result = {
   circuit : Rfkit_circuit.Mna.t;

@@ -111,100 +111,80 @@ let solve_core ~options ~iter_cap c ~f1 ~f2 =
             Mat.row traj 0
         | Supervisor.Failed f ->
             (* an interrupt or deadline is not a failed slice: re-raise
-               it; otherwise start from DC. Newton updates every phase
-               in place: no two may share xdc *)
+               it; otherwise start from DC *)
             Supervisor.reraise_abort f;
-            Vec.copy xdc)
+            xdc)
   in
-  let dim = m_count * n in
-  let iters = ref 0 in
-  let converged = ref false in
-  let last_res = ref infinity in
-  let cap = min max_newton iter_cap in
-  while (not !converged) && !iters < cap do
-    incr iters;
-    (* integrate every phase with monodromy *)
-    let phis = Array.make m_count [||] in
-    let monos = Array.make m_count (Mat.make 0 0) in
-    for m = 0 to m_count - 1 do
-      let traj, mono = integrate_phase c ~t0:s.(m) ~period2 ~steps:steps2 y.(m) in
-      total_steps := !total_steps + steps2;
-      phis.(m) <- Mat.row traj steps2;
-      monos.(m) <- mono
-    done;
-    (* residual rho_m = phi_m - sum_m' D[m,m'] y_m' *)
-    let r = Vec.create dim in
+  (* Newton on the flattened phases y = [y_0; ...; y_{M-1}] for
+     rho_m = phi_m(y_m) - sum_m' D[m,m'] y_m' *)
+  let y = Array.concat (Array.to_list y) in
+  let monos = Array.make m_count (Mat.make 0 0) in
+  let residual y =
+    let r = Vec.create (m_count * n) in
     let scale_ref = ref 1.0 in
     for m = 0 to m_count - 1 do
+      let traj, mono =
+        integrate_phase c ~t0:s.(m) ~period2 ~steps:steps2 (Array.sub y (m * n) n)
+      in
+      total_steps := !total_steps + steps2;
+      monos.(m) <- mono;
       for i = 0 to n - 1 do
         let acc = ref 0.0 in
         for m' = 0 to m_count - 1 do
-          acc := !acc +. (Mat.get d m m' *. y.(m').(i))
+          acc := !acc +. (Mat.get d m m' *. y.((m' * n) + i))
         done;
-        r.((m * n) + i) <- phis.(m).(i) -. !acc;
-        scale_ref := Float.max !scale_ref (Float.abs phis.(m).(i))
+        let phi = Mat.get traj steps2 i in
+        r.((m * n) + i) <- phi -. !acc;
+        scale_ref := Float.max !scale_ref (Float.abs phi)
       done
     done;
-    last_res := Vec.norm_inf r /. !scale_ref;
-    if Vec.norm_inf r <= tol *. !scale_ref then converged := true
-    else begin
-      (* Jacobian: blockdiag(M_m) - D (x) I_n *)
-      let j = Mat.make dim dim in
-      for m = 0 to m_count - 1 do
-        for i = 0 to n - 1 do
-          for jj = 0 to n - 1 do
-            Mat.set j ((m * n) + i) ((m * n) + jj) (Mat.get monos.(m) i jj)
-          done;
-          for m' = 0 to m_count - 1 do
-            Mat.update j ((m * n) + i) ((m' * n) + i) (fun w -> w -. Mat.get d m m')
-          done
-        done
-      done;
-      if Faults.singular_now ~engine then
-        Error.fail ~engine ~cause:Supervisor.Singular_jacobian
-          "MMFT Jacobian singular (injected)";
-      let dy =
-        try Lu.solve (Lu.factor j) r
-        with Lu.Singular ->
-          Error.fail ~engine ~cause:Supervisor.Singular_jacobian
-            "MMFT Jacobian singular"
-      in
-      Guard.check ~engine ~iter:!iters dy;
-      for m = 0 to m_count - 1 do
-        for i = 0 to n - 1 do
-          y.(m).(i) <- y.(m).(i) -. dy.((m * n) + i)
+    (r, !scale_ref)
+  in
+  (* Jacobian: blockdiag(M_m) - D (x) I_n *)
+  let solve _ r =
+    let dim = m_count * n in
+    let j = Mat.make dim dim in
+    for m = 0 to m_count - 1 do
+      for i = 0 to n - 1 do
+        for jj = 0 to n - 1 do
+          Mat.set j ((m * n) + i) ((m * n) + jj) (Mat.get monos.(m) i jj)
+        done;
+        for m' = 0 to m_count - 1 do
+          Mat.update j ((m * n) + i) ((m' * n) + i) (fun w -> w -. Mat.get d m m')
         done
       done
-    end
-  done;
-  let stats =
-    { Supervisor.iterations = !iters; residual = !last_res; krylov_iterations = 0 }
+    done;
+    (Lu.solve (Lu.factor j) r, 0)
   in
-  if not !converged then
-    Error.fail ~engine
-      ~cause:(Supervisor.Newton_stall { iterations = !iters; residual = !last_res })
-      "MMFT Newton did not converge";
-  (* final trajectories for output processing *)
-  let slices =
-    Array.init m_count (fun m ->
-        let traj, _ =
-          integrate_phase ~with_monodromy:false c ~t0:s.(m) ~period2 ~steps:steps2 y.(m)
-        in
-        total_steps := !total_steps + steps2;
-        Mat.init steps2 n (fun kk i -> Mat.get traj kk i))
+  let stop =
+    { Newton.max_iter = min max_newton iter_cap; res_abs = 0.0; res_rel = tol; step_rel = 0.0;
+      damping = infinity }
   in
-  Ok
-    ( {
-        circuit = c;
-        f1;
-        f2;
-        options;
-        sample_times = s;
-        slices;
-        newton_iters = !iters;
-        integration_steps = !total_steps;
-      },
-      stats )
+  match Newton.run ~engine ~stop ~residual ~solve y with
+  | Error (cause, _) -> Error (cause, Supervisor.no_stats)
+  | Ok (y, stats) ->
+      (* final trajectories for output processing *)
+      let slices =
+        Array.init m_count (fun m ->
+            let traj, _ =
+              integrate_phase ~with_monodromy:false c ~t0:s.(m) ~period2 ~steps:steps2
+                (Array.sub y (m * n) n)
+            in
+            total_steps := !total_steps + steps2;
+            Mat.init steps2 n (fun kk i -> Mat.get traj kk i))
+      in
+      Ok
+        ( {
+            circuit = c;
+            f1;
+            f2;
+            options;
+            sample_times = s;
+            slices;
+            newton_iters = stats.Supervisor.iterations;
+            integration_steps = !total_steps;
+          },
+          stats )
 
 let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
   Supervisor.run ?budget ~engine
@@ -218,9 +198,7 @@ let solve_outcome ?budget ?(options = default_options) c ~f1 ~f2 =
       in
       try solve_core ~options ~iter_cap c ~f1 ~f2 with
       | Error.No_convergence e -> Error (e.Error.cause, Supervisor.no_stats)
-      | Tran.Step_failed { cause; _ } -> Error (cause, Supervisor.no_stats)
-      | Guard.Non_finite_found { iter; index } ->
-          Error (Supervisor.Non_finite { iter; index }, Supervisor.no_stats))
+      | Tran.Step_failed { cause; _ } -> Error (cause, Supervisor.no_stats))
     ()
 
 (* Time-varying slow harmonic of a node: at fast offset tau,

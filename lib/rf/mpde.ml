@@ -67,6 +67,10 @@ let off_tone_source c ~tones =
   | _ -> None
   | exception Invalid_argument msg -> Some msg
 
+let node_grid c ~n1 ~n2 (grid : Vec.t) name =
+  let n = Mna.size c and k = Mna.node c name in
+  Mat.init n1 n2 (fun i1 i2 -> grid.((((i1 * n2) + i2) * n) + k))
+
 let diagonal ~period1 ~period2 (grid : Mat.t) t =
   let n1 = grid.Mat.rows and n2 = grid.Mat.cols in
   let wrap x p = x -. (p *. Float.floor (x /. p)) in
@@ -81,6 +85,12 @@ let diagonal ~period1 ~period2 (grid : Mat.t) t =
   +. (a1 *. (1.0 -. a2) *. g j1 i2)
   +. ((1.0 -. a1) *. a2 *. g i1 j2)
   +. (a1 *. a2 *. g j1 j2)
+
+let diagonal_samples ~f1 ~f2 grid ~n =
+  let period1 = 1.0 /. f1 and period2 = 1.0 /. f2 in
+  Vec.init n (fun k ->
+      let t = period1 *. float_of_int k /. float_of_int n in
+      diagonal ~period1 ~period2 grid t)
 
 module Cost = struct
   type t = {

@@ -30,10 +30,19 @@ val off_tone_source : Rfkit_circuit.Mna.t -> tones:float array -> string option
     no tone, so {!eval_bn} would raise: the MPDE engines refuse such a
     circuit with a typed [Unsupported] before any solve. *)
 
+val node_grid :
+  Rfkit_circuit.Mna.t -> n1:int -> n2:int -> Rfkit_la.Vec.t -> string -> Rfkit_la.Mat.t
+(** [node_grid c ~n1 ~n2 grid node]: one node's [n1 x n2] samples of a
+    flattened two-tone grid laid out [(i1 * n2 + i2) * n + k]. *)
+
 val diagonal : period1:float -> period2:float -> Rfkit_la.Mat.t -> float -> float
 (** [diagonal ~period1 ~period2 grid t] evaluates the diagonal
     [y^(t, t)] of a bivariate sample grid ([n1] rows x [n2] cols) by
     bilinear periodic interpolation. *)
+
+val diagonal_samples : f1:float -> f2:float -> Rfkit_la.Mat.t -> n:int -> Rfkit_la.Vec.t
+(** [n] samples of the physical waveform [x(t) = x^(t, t)] of a
+    bivariate grid over one slow period [1/f1]. *)
 
 (** Figs 2-3: cost accounting for representing
     [y(t) = sin(2 pi t / period1) * pulse(t / period2)]. *)

@@ -117,40 +117,25 @@ let integrate ?(with_monodromy = true) ?coupling ?b st c ~time ~h ~m x0 =
   (traj, !mono)
 
 (* Newton on x0 for phi(x0) - x0 = 0, phi one period of [period]:
-   (M - I) dx = -(phi(x0) - x0). A step failure, a singular (M - I) or a
-   non-finite update ends it with its cause; [Error] carries the
-   iterations spent and the last residual. *)
+   (M - I) dx = phi(x0) - x0, full steps. *)
 let newton ~engine ~max_newton ~tol period x_init =
-  let n = Array.length x_init in
-  let x0 = Vec.copy x_init in
-  let iters = ref 0 and last_res = ref infinity in
-  let stats () =
-    { Supervisor.iterations = !iters; residual = !last_res; krylov_iterations = 0 }
+  let last = ref (Mat.make 0 0, Mat.make 0 0) in
+  let residual x0 =
+    let ((traj, _) as p) = period x0 in
+    last := p;
+    let xt = Mat.row traj (traj.Mat.rows - 1) in
+    (Vec.sub xt x0, Vec.norm_inf xt)
   in
-  let rec loop () =
-    if !iters >= max_newton then
-      Error (Supervisor.Newton_stall { iterations = !iters; residual = !last_res }, stats ())
-    else begin
-      incr iters;
-      let traj, mono = period x0 in
-      let xt = Mat.row traj (traj.Mat.rows - 1) in
-      let r = Vec.sub xt x0 in
-      last_res := Vec.norm_inf r;
-      if !last_res <= tol *. Float.max 1.0 (Vec.norm_inf xt) then Ok (traj, mono, stats ())
-      else begin
-        if Faults.singular_now ~engine then raise Lu.Singular;
-        let dx = Lu.solve (Lu.factor (Mat.sub mono (Mat.identity n))) (Vec.neg r) in
-        Guard.check ~engine ~iter:!iters dx;
-        Vec.add_inplace dx x0;
-        loop ()
-      end
-    end
+  let solve _ r =
+    let mono = snd !last in
+    (Lu.solve (Lu.factor (Mat.sub mono (Mat.identity (Array.length r)))) r, 0)
   in
-  try loop () with
-  | Tran.Step_failed { cause; _ } -> Error (cause, stats ())
-  | Lu.Singular -> Error (Supervisor.Singular_jacobian, stats ())
-  | Guard.Non_finite_found { iter; index } ->
-      Error (Supervisor.Non_finite { iter; index }, stats ())
+  let stop =
+    { Newton.max_iter = max_newton; res_abs = 0.0; res_rel = tol; step_rel = 0.0;
+      damping = infinity }
+  in
+  Newton.run ~engine ~stop ~residual ~solve x_init
+  |> Result.map (fun (_, stats) -> (fst !last, snd !last, stats))
 
 (* one period of m steps from x0, the sources positioned from t_offset *)
 let one_period ?with_monodromy st c ~period ~m ~t_offset x0 =
@@ -298,86 +283,71 @@ let solve_autonomous ?(options = default_options) c ~freq_guess ~kick =
   in
   let x_init = Mat.row warm_traj total in
   let anchor_value = x_init.(anchor) in
-  (* Newton on (x0, T) with phase condition x0(anchor) = anchor_value *)
-  let x0 = ref (Vec.copy x_init) and period = ref period0 in
-  let iters = ref 0 and steps = ref total in
-  let converged = ref false in
-  let final = ref None in
-  while (not !converged) && !iters < options.max_newton do
-    incr iters;
-    let traj, mono = one_period st c ~period:!period ~m ~t_offset:0.0 !x0 in
+  (* Newton on z = [x0; T] for [phi_T(x0) - x0; x0(anchor) - anchor_value] *)
+  let steps = ref total and last = ref (Mat.make 0 0, Mat.make 0 0) in
+  let residual z =
+    let x0 = Array.sub z 0 n in
+    let ((traj, _) as p) = one_period st c ~period:z.(n) ~m ~t_offset:0.0 x0 in
     steps := !steps + m;
+    last := p;
     let xt = Mat.row traj m in
-    let r = Vec.sub xt !x0 in
-    let scale = Float.max 1.0 (Vec.norm_inf xt) in
-    if Vec.norm_inf r <= options.tol *. scale then begin
-      converged := true;
-      final := Some (traj, mono)
-    end
-    else begin
-      (* dphi/dT by forward difference on the period *)
-      let dT = 1e-6 *. !period in
-      let traj2, _ =
-        one_period ~with_monodromy:false st c ~period:(!period +. dT) ~m ~t_offset:0.0
-          !x0
-      in
-      steps := !steps + m;
-      let dphi = Vec.scale (1.0 /. dT) (Vec.sub (Mat.row traj2 m) xt) in
-      (* bordered system: rows = shooting residual + phase anchor *)
-      let a = Mat.make (n + 1) (n + 1) in
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          Mat.set a i j (Mat.get mono i j -. if i = j then 1.0 else 0.0)
-        done;
-        Mat.set a i n dphi.(i)
+    let r = Vec.create (n + 1) in
+    for i = 0 to n - 1 do
+      r.(i) <- xt.(i) -. x0.(i)
+    done;
+    r.(n) <- x0.(anchor) -. anchor_value;
+    (r, Vec.norm_inf xt)
+  in
+  (* the bordered Jacobian [[M - I, dphi/dT]; [e_anchor, 0]], dphi/dT by
+     a forward difference on the period *)
+  let solve z r =
+    let traj, mono = !last in
+    let xt = Mat.row traj m in
+    let dT = 1e-6 *. z.(n) in
+    let traj2, _ =
+      one_period ~with_monodromy:false st c ~period:(z.(n) +. dT) ~m ~t_offset:0.0
+        (Array.sub z 0 n)
+    in
+    steps := !steps + m;
+    let dphi = Vec.scale (1.0 /. dT) (Vec.sub (Mat.row traj2 m) xt) in
+    let a = Mat.make (n + 1) (n + 1) in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        Mat.set a i j (Mat.get mono i j -. if i = j then 1.0 else 0.0)
       done;
-      Mat.set a n anchor 1.0;
-      let rhs = Vec.create (n + 1) in
-      for i = 0 to n - 1 do
-        rhs.(i) <- -.r.(i)
-      done;
-      rhs.(n) <- anchor_value -. !x0.(anchor);
-      let delta =
-        try Lu.solve (Lu.factor a) rhs
-        with Lu.Singular ->
-          Error.fail ~engine ~cause:Supervisor.Singular_jacobian
-            "bordered shooting system singular"
-      in
-      Guard.check ~engine ~iter:!iters delta;
-      (* damp the bordered Newton step: the period column is badly scaled
-         against the state columns, so early iterations can overshoot *)
-      let dT = delta.(n) in
-      let state_step =
-        let mx = ref 0.0 in
-        for i = 0 to n - 1 do
-          mx := Float.max !mx (Float.abs delta.(i))
-        done;
-        !mx
-      in
-      let damp = ref 1.0 in
-      if Float.abs dT > 0.2 *. !period then damp := 0.2 *. !period /. Float.abs dT;
-      if state_step *. !damp > 2.0 then damp := 2.0 /. state_step;
-      for i = 0 to n - 1 do
-        !x0.(i) <- !x0.(i) +. (!damp *. delta.(i))
-      done;
-      period := !period +. (!damp *. dT)
-    end
-  done;
-  match !final with
-  | None ->
-      Error.fail ~engine
-        ~cause:
-          (Supervisor.Newton_stall { iterations = !iters; residual = infinity })
-        "autonomous shooting did not converge"
-  | Some (traj, mono) ->
+      Mat.set a i n dphi.(i)
+    done;
+    Mat.set a n anchor 1.0;
+    (Lu.solve (Lu.factor a) r, 0)
+  in
+  (* the period column is badly scaled against the state columns, so
+     early iterations can overshoot: cap the period step at 0.2 T and the
+     state step at 2 *)
+  let damp z dz =
+    let dT = Float.abs dz.(n) and state_step = ref 0.0 in
+    for i = 0 to n - 1 do
+      state_step := Float.max !state_step (Float.abs dz.(i))
+    done;
+    let s = if dT > 0.2 *. z.(n) then 0.2 *. z.(n) /. dT else 1.0 in
+    if !state_step *. s > 2.0 then 2.0 /. !state_step else s
+  in
+  let stop =
+    { Newton.max_iter = options.max_newton; res_abs = 0.0; res_rel = options.tol;
+      step_rel = 0.0; damping = infinity }
+  in
+  let z0 = Array.append x_init [| period0 |] in
+  match Newton.run ~damp ~engine ~stop ~residual ~solve z0 with
+  | Error (cause, _) -> Error.fail ~engine ~cause "autonomous shooting did not converge"
+  | Ok (z, stats) ->
+      let traj, mono = !last in
       {
         circuit = c;
-        period = !period;
+        period = z.(n);
         x0 = Mat.row traj 0;
-        times = Vec.init m (fun k -> !period *. float_of_int k /. float_of_int m);
+        times = Vec.init m (fun k -> z.(n) *. float_of_int k /. float_of_int m);
         samples = Mat.init m n (fun k i -> Mat.get traj k i);
         monodromy = mono;
-        newton_iters = !iters;
+        newton_iters = stats.Supervisor.iterations;
         integration_steps = !steps;
       }
 

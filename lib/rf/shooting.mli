@@ -89,12 +89,14 @@ val newton :
     Rfkit_solve.Supervisor.cause * Rfkit_solve.Supervisor.stats )
   Stdlib.result
 (** [newton ~engine ~max_newton ~tol period x0]: Newton on
-    [phi(x0) - x0 = 0] with [(M - I) dx = -(phi(x0) - x0)], [period]
-    giving one period's trajectory and monodromy; converged at
-    [|phi(x0) - x0| <= tol * max 1 |phi(x0)|], with that period's
-    trajectory and monodromy. A failed step, a singular [M - I] (or a
-    singular fault plan for [engine]) or a non-finite update ends it
-    with its cause. Both sides carry the iterations and last residual. *)
+    [phi(x0) - x0 = 0] with [(M - I) dx = phi(x0) - x0] and full steps
+    [x0 <- x0 - dx], [period] giving one period's trajectory and
+    monodromy; converged at [|phi(x0) - x0| <= tol * max 1 |phi(x0)|],
+    with that period's trajectory and monodromy. The loop is
+    {!Rfkit_solve.Newton.run} (DESIGN.md sec. 8, "One Newton driver"): a
+    failed step, a singular [M - I] (or a singular fault plan for
+    [engine]) or a non-finite iterate ends it with its cause. Both sides
+    carry the iterations and last residual. *)
 
 val solve_outcome :
   ?budget:Rfkit_solve.Supervisor.budget ->

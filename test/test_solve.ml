@@ -190,6 +190,37 @@ let test_krylov_stall_recovery () =
         "krylov iterations surfaced in the report" true
         (r.Supervisor.stats.Supervisor.krylov_iterations > 0)
 
+(* ------------------------------------------- transient step causes *)
+
+(* a failed step's own cause reaches the supervisor: a NaN fails fast,
+   a singular Jacobian reads as one *)
+let tran_with plan =
+  let c = rectifier () in
+  with_plan plan (fun () -> Tran.run_outcome c ~t_stop:2e-7 ~dt:1e-9)
+
+let test_tran_nan_fail_fast () =
+  match tran_with { Faults.none with engine = Some "tran"; nan_at = Some (1, 0) } with
+  | Supervisor.Converged _ -> Alcotest.fail "NaN injection must fail the run"
+  | Supervisor.Failed f ->
+      (match f.Supervisor.cause with
+      | Supervisor.Non_finite { iter; index } ->
+          Alcotest.(check int) "offending Newton iteration" 1 iter;
+          Alcotest.(check int) "offending unknown index" 0 index
+      | c -> Alcotest.failf "expected Non_finite, got %s" (cause_str c));
+      Alcotest.(check int)
+        "fail-fast: no finer-step retry" 1
+        (List.length f.Supervisor.f_attempts)
+
+let test_tran_singular_cause () =
+  match tran_with { Faults.none with engine = Some "tran"; singular_attempts = 99 } with
+  | Supervisor.Converged _ -> Alcotest.fail "every attempt is sabotaged"
+  | Supervisor.Failed f ->
+      Alcotest.(check string) "final cause" "singular Jacobian" (cause_str f.Supervisor.cause);
+      Alcotest.(check (list (option string)))
+        "every rung records the singular Jacobian"
+        [ Some "singular Jacobian"; Some "singular Jacobian"; Some "singular Jacobian" ]
+        (attempt_causes f.Supervisor.f_attempts)
+
 (* ------------------------------------------------------- determinism *)
 
 (* everything observable except wall-clock times *)
@@ -259,6 +290,10 @@ let suite =
           test_krylov_stall_recovery;
         Alcotest.test_case "failure rendering names every rung" `Quick
           test_failure_rendering;
+        Alcotest.test_case "tran: injected NaN fails fast with its own cause" `Quick
+          test_tran_nan_fail_fast;
+        Alcotest.test_case "tran: a singular step reads as a singular Jacobian" `Quick
+          test_tran_singular_cause;
       ] );
     ( "solve.properties",
       List.map QCheck_alcotest.to_alcotest [ qcheck_deterministic ] );
